@@ -290,13 +290,33 @@
 // TrailingZeros64 scan — see internal/sim/erasure.go); and decoding runs
 // through a reusable word-level elimination tableau (gf2.Solver.SolveInto
 // and the SolveConsistentInto early-stop variant for noiseless erasure
-// observations), which past 512 unknowns switches to a dense M4RI-style
-// multi-column eliminator (internal/gf2/m4ri.go: 8 pivot columns per pass
-// via a 256-entry combination table). The TDBC/MABC trial loops run on a
-// worker pool with per-worker RNGs, codes, and scratch — zero allocations
-// per block. Context cancellation costs one atomic flag load per trial
-// (internal/sim's runGate), so a cancelled run stops within one trial
-// without slowing an uncancelled one. Allocation regressions are pinned by
+// observations), which from 256 unknowns switches to a dense M4RI-style
+// multi-column eliminator (internal/gf2/m4ri.go: 8 pivot columns per pass,
+// a combination table indexed directly by the row's stripe bits, row
+// echelon form plus back substitution). The GF(2) layer does only the
+// elimination a block's outcome depends on: a consistent system with fewer
+// equations than unknowns — every relay decode above the bound — returns
+// ErrUnderdetermined from its row count without eliminating. The cutover
+// is tuned on the waterfall's own shapes (consistent mode, ≈1.11 equations
+// per unknown at 0.9 of the bound; BenchmarkSolve* in internal/gf2, median
+// of 5 runs of 40 solves on a shared 2-core Xeon VM, Go 1.24):
+//
+//	k     rows  incremental  dense    block
+//	320    356     0.32 ms   0.15 ms  n=1200 TDBC relay, wb
+//	400    445     0.56 ms   0.19 ms  n=1200 TDBC relay, wa
+//	445    494     0.71 ms   0.29 ms  n=1200 MABC relay
+//	1068  1188     4.5 ms    1.6 ms   n=4000 TDBC relay, wb
+//	1336  1485     7.5 ms    3.2 ms   n=4000 TDBC relay, wa
+//	1483  1649    11.2 ms    3.5 ms   n=4000 MABC relay
+//	489    445     short: 0.3 µs (was a 0.7 ms elimination)
+//
+// The incremental basis still wins at 128 unknowns; the dense path wins
+// from about 192.
+//
+// The TDBC/MABC trial loops run on a worker pool with per-worker RNGs,
+// codes, and scratch — zero allocations per block. Context cancellation
+// costs one atomic flag load per trial (internal/sim's runGate), so a
+// cancelled run stops within one trial without slowing an uncancelled one. Allocation regressions are pinned by
 // testing.AllocsPerRun tests next to the hot paths (internal/protocols,
 // internal/sim, internal/simplex, internal/gf2).
 //
@@ -322,8 +342,8 @@
 //	    -benchmem -cpuprofile /tmp/trial.prof
 //	go test ./internal/sim/ -run '^$' -bench 'BenchmarkErasureMask' \
 //	    -benchmem   # word-parallel masks vs the retired scalar sampler
-//	go test ./internal/gf2/ -run '^$' -bench 'BenchmarkSolve(Incremental|M4RI)' \
-//	    -benchtime 20x -benchmem   # elimination ladder at 256/1k/4k unknowns
+//	go test ./internal/gf2/ -run '^$' -bench 'BenchmarkSolve' \
+//	    -benchtime 20x -benchmem   # elimination ladder at the waterfall's shapes
 //	go test . -run '^$' -bench 'Benchmark(Engine|OneShot)SumRateBatch$' \
 //	    -benchmem   # engine batch vs 1k one-shot calls over the same grid
 //	go test ./internal/sim/ -run '^$' -bench 'BenchmarkBitTrue(TDBC|MABC)(Parallel)?$' \

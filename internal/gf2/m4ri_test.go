@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -202,11 +203,55 @@ func TestDenseAutoCutover(t *testing.T) {
 
 // TestDenseZeroAllocSteadyState extends the allocation contract across the
 // cutover: after Reserve for a dense-path shape, repeated solves — the auto
-// path at a real simulator shape — allocate nothing.
+// path at real simulator shapes — allocate nothing. 445 unknowns from 504
+// equations is an n=1200 MABC decode, the widest n=1200 shape, and 600
+// from 664 a wider one. Both are taller than the cols+m4riSlack rows
+// Reserve caps the dense tableau at.
 func TestDenseZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
-	const cols = m4riMinCols + 88 // 600 unknowns: the waterfall-test shape
-	const rows = cols + m4riSlack
+	for _, shape := range []struct{ rows, cols int }{{504, 445}, {664, 600}} {
+		rows, cols := shape.rows, shape.cols
+		m := RandomMatrix(rows, cols, r)
+		x := RandomVector(cols, r)
+		b, _ := m.MulVec(x)
+		rv, _ := matrixRows(m)
+		bits := make([]int, rows)
+		for i := range bits {
+			bits[i] = b.Bit(i)
+		}
+
+		var s Solver
+		s.Reserve(rows, cols)
+		dst := NewVector(cols)
+		if n := testing.AllocsPerRun(20, func() {
+			if err := s.SolveInto(&dst, cols, rv, bits); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%dx%d: dense solve allocates %.1f/op, want 0", rows, cols, n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := s.SolveConsistentInto(&dst, cols, rv, bits); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%dx%d: dense consistent solve allocates %.1f/op, want 0", rows, cols, n)
+		}
+		if !dst.Equal(x) {
+			t.Fatalf("%dx%d: dense steady-state solution is not the planted one", rows, cols)
+		}
+	}
+}
+
+// TestReserveCapsConsistentDenseRows pins Reserve's dense sizing: a tall
+// shape reserves only the cols+m4riSlack rows a consistent solve loads, so
+// consistent solves of it allocate nothing, while a SolveInto of the same
+// shape, which loads every row, grows the scratch once and is then
+// allocation-free too.
+func TestReserveCapsConsistentDenseRows(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	const cols = 300
+	const rows = cols + 3*m4riSlack
 	m := RandomMatrix(rows, cols, r)
 	x := RandomVector(cols, r)
 	b, _ := m.MulVec(x)
@@ -215,25 +260,123 @@ func TestDenseZeroAllocSteadyState(t *testing.T) {
 	for i := range bits {
 		bits[i] = b.Bit(i)
 	}
-
 	var s Solver
 	s.Reserve(rows, cols)
-	dst := NewVector(cols)
-	if n := testing.AllocsPerRun(20, func() {
-		if err := s.SolveInto(&dst, cols, rv, bits); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("dense solve allocates %.1f/op, want 0", n)
+	stride := wordsFor(cols) + 1
+	if got, want := cap(s.dense), (cols+m4riSlack)*stride; got != want {
+		t.Fatalf("Reserve(%d, %d): dense capacity %d words, want %d", rows, cols, got, want)
 	}
-	if n := testing.AllocsPerRun(20, func() {
+	dst := NewVector(cols)
+	if n := testing.AllocsPerRun(10, func() {
 		if err := s.SolveConsistentInto(&dst, cols, rv, bits); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("dense consistent solve allocates %.1f/op, want 0", n)
+		t.Errorf("consistent solve allocates %.1f/op, want 0", n)
 	}
-	if !dst.Equal(x) {
-		t.Fatal("dense steady-state solution is not the planted one")
+	if err := s.SolveInto(&dst, cols, rv, bits); err != nil || !dst.Equal(x) {
+		t.Fatalf("tall SolveInto: err %v or wrong solution", err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := s.SolveInto(&dst, cols, rv, bits); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("tall SolveInto allocates %.1f/op after its first solve, want 0", n)
+	}
+}
+
+// TestDenseStripeEdgesMatchReference pins the direct-indexed stripe tables
+// against the clone-based oracle at widths just past the cutover and at a
+// waterfall-like width (257, 263, 300 and 519 columns: every final stripe
+// is partial). Each width gets a full-rank system, one with all-zero
+// columns (free columns, the last one included), one whose stripe has a
+// dependent column between pivot columns (a hole in the pivot mask), and
+// one with dependent rows (rows run out before the columns do); each with
+// a planted and with a random right-hand side. SolveInto must match the
+// oracle exactly under every force mode, and SolveConsistentInto must on
+// the planted systems.
+func TestDenseStripeEdgesMatchReference(t *testing.T) {
+	for _, cols := range []int{257, 263, 300, 519} {
+		t.Run(fmt.Sprintf("cols%d", cols), func(t *testing.T) {
+			t.Parallel() // the oracle is slow at 519 columns
+			checkStripeEdges(t, cols, rand.New(rand.NewSource(int64(cols))))
+		})
+	}
+}
+
+func checkStripeEdges(t *testing.T, cols int, r *rand.Rand) {
+	for _, kind := range []string{"full", "freecols", "stripehole", "deprows"} {
+		rows := cols + 1 + r.Intn(8)
+		m := RandomMatrix(rows, cols, r)
+		c0 := m4riStripe * (cols / m4riStripe / 2) // a mid-system stripe
+		switch kind {
+		case "freecols":
+			for i := 0; i < rows; i++ {
+				for _, j := range []int{c0 + 1, c0 + 5, cols - 1} {
+					m.Set(i, j, 0)
+				}
+			}
+		case "stripehole":
+			for i := 0; i < rows; i++ {
+				m.Set(i, c0+3, m.At(i, c0)^m.At(i, c0+2))
+			}
+		case "deprows":
+			for i := 0; i < rows/10+20; i++ {
+				sum, _ := m.Row(r.Intn(rows)).Xor(m.Row(r.Intn(rows)))
+				dst := r.Intn(rows)
+				for j := 0; j < cols; j++ {
+					m.Set(dst, j, sum.Bit(j))
+				}
+			}
+		}
+		rv, _ := matrixRows(m)
+		x := RandomVector(cols, r)
+		planted, _ := m.MulVec(x)
+		rhss := []Vector{planted}
+		if kind == "full" || kind == "stripehole" {
+			rhss = append(rhss, RandomVector(rows, r)) // almost surely inconsistent
+		}
+		for _, b := range rhss {
+			consistent := b.Equal(planted)
+			want, wantErr := refSolve(m, b)
+			if kind != "full" && wantErr == nil {
+				t.Fatalf("%s: the oracle solved a rank-deficient system", kind)
+			}
+			bits := make([]int, rows)
+			for i := range bits {
+				bits[i] = b.Bit(i)
+			}
+			for _, force := range []int{forceAuto, forceIncremental, forceDense} {
+				s := forceSolver(force)
+				got := NewVector(cols)
+				err := s.SolveInto(&got, cols, rv, bits)
+				if !sameOutcome(err, wantErr, got, want) {
+					t.Fatalf("%s consistent=%v force=%d: SolveInto (%v) disagrees with the oracle (%v)",
+						kind, consistent, force, err, wantErr)
+				}
+				if !consistent {
+					continue
+				}
+				err = s.SolveConsistentInto(&got, cols, rv, bits)
+				if !sameOutcome(err, wantErr, got, want) {
+					t.Fatalf("%s force=%d: SolveConsistentInto (%v) disagrees with the oracle (%v)",
+						kind, force, err, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// sameOutcome reports whether a solve matched the oracle: the same error
+// class, or both solved with the same solution.
+func sameOutcome(err, wantErr error, got, want Vector) bool {
+	switch {
+	case wantErr == nil:
+		return err == nil && got.Equal(want)
+	case errors.Is(wantErr, ErrInconsistent):
+		return errors.Is(err, ErrInconsistent)
+	default:
+		return errors.Is(err, ErrUnderdetermined)
 	}
 }

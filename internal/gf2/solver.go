@@ -22,9 +22,15 @@ import (
 // to zero in the spare slot and are discarded (after their RHS bit is
 // checked for consistency).
 //
-// Wide systems (at least m4riMinCols unknowns) are eliminated by the dense
-// multi-column path in m4ri.go instead — same results, fewer row XORs; the
-// incremental basis remains the short-block and underdetermined path.
+// Wide systems (at least m4riMinCols unknowns, at least as many equations)
+// are eliminated by the dense multi-column path in m4ri.go instead — same
+// results, fewer row XORs; the incremental basis remains the path for
+// narrow systems and for short systems in SolveInto. A short system in
+// SolveConsistentInto (fewer equations than unknowns) is not eliminated at
+// all: its outcome is known from the row count alone. On the bit-true
+// waterfall those are the relay decodes above the bound, e.g. k=1813
+// unknowns from ≈1650 equations, where a full elimination cost ≈23ms only
+// to report ErrUnderdetermined.
 //
 // The zero value is ready to use. A Solver is NOT safe for concurrent use;
 // give each goroutine its own (the simulator's worker pool does).
@@ -54,6 +60,11 @@ const (
 // steady state strictly allocation-free (the AllocsPerRun gates in
 // internal/sim rely on this).
 //
+// The dense tableau is sized for what SolveConsistentInto loads: at most
+// cols+m4riSlack equations, however many rows the shape has. A SolveInto
+// of a taller dense system loads every equation and grows the scratch
+// once, on its first solve, as an unreserved shape does.
+//
 //bicoop:allow noalloc — scratch grower: allocates here so solves never do
 func (s *Solver) Reserve(rows, cols int) {
 	basis := rows
@@ -67,7 +78,7 @@ func (s *Solver) Reserve(rows, cols int) {
 		s.colRow = make([]int32, 0, cols)
 	}
 	if cols >= m4riMinCols && rows >= cols {
-		s.reserveDense(rows, cols)
+		s.reserveDense(min(rows, cols+m4riSlack), cols)
 	}
 }
 
@@ -142,35 +153,38 @@ func (s *Solver) reduce(cur []uint64) (lead int, zero bool) {
 	return -1, cur[wpr]&1 == 0
 }
 
-// finishSolve turns the outcome of the basis build into the old Solve
+// finishSolve turns the outcome of an elimination into the old Solve
 // semantics (inconsistency takes precedence over underdetermination) and
-// extracts the solution when it is unique.
+// extracts the solution from tab — the incremental basis or the dense
+// tableau — when it is unique.
 //
 //bicoop:noalloc
-func (s *Solver) finishSolve(dst *Vector, rank int, inconsistent bool) error {
+func (s *Solver) finishSolve(dst *Vector, tab []uint64, rank int, inconsistent bool) error {
 	if inconsistent {
 		return ErrInconsistent
 	}
 	if rank < s.cols {
 		return ErrUnderdetermined
 	}
-	s.backSubstitute(dst)
+	s.backSubstitute(dst, tab)
 	return nil
 }
 
-// backSubstitute extracts the unique solution from a full basis into dst.
-// Pivot columns are processed in descending order: a pivot row's bits
-// beyond its own column only involve columns whose solution bit is already
-// known, so each step is one word-level dot product from the pivot's word.
+// backSubstitute extracts the unique solution from tab, a full basis or a
+// full-rank dense echelon tableau, into dst. Either way the pivot row of
+// column c is zero before c. Pivot columns are processed in descending
+// order: a pivot row's bits beyond its own column only involve columns
+// whose solution bit is already known, so each step is one word-level dot
+// product from the pivot's word.
 //
 //bicoop:noalloc
-func (s *Solver) backSubstitute(dst *Vector) {
+func (s *Solver) backSubstitute(dst *Vector, tab []uint64) {
 	for w := range dst.words {
 		dst.words[w] = 0
 	}
 	wpr := s.stride - 1
 	for c := s.cols - 1; c >= 0; c-- {
-		row := s.tab[int(s.colRow[c])*s.stride:]
+		row := tab[int(s.colRow[c])*s.stride:]
 		acc := row[wpr] & 1 // the equation's RHS bit
 		var x uint64
 		for w := c >> 6; w < wpr; w++ {
@@ -195,12 +209,18 @@ func (s *Solver) SolveInto(dst *Vector, k int, rows []Vector, bits []int) error 
 // equations as the rank needs, skipping the surplus entirely, and never
 // returns ErrInconsistent: fed an inconsistent system anyway, it returns
 // the unique solution of some full-rank subsystem instead of an error.
+// With fewer equations than unknowns it returns ErrUnderdetermined at once,
+// without eliminating and without touching dst (shape errors still come
+// first).
 func (s *Solver) SolveConsistentInto(dst *Vector, k int, rows []Vector, bits []int) error {
 	return s.solveRows(dst, k, rows, bits, true)
 }
 
-// solveRows validates the system and dispatches to the incremental basis or
-// the dense multi-column eliminator (m4ri.go) by the size cutover.
+// solveRows validates the system, settles short consistent systems from
+// their row count, and dispatches the rest to the incremental basis or the
+// dense multi-column eliminator (m4ri.go) by the size cutover. SolveInto
+// eliminates short systems too: there inconsistency takes precedence over
+// underdetermination.
 //
 //bicoop:noalloc
 func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consistent bool) error {
@@ -215,6 +235,11 @@ func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consis
 			return fmt.Errorf("%w: row %d has %d bits, want %d", ErrShape, i, row.n, k)
 		}
 	}
+	if consistent && len(rows) < k {
+		// rank ≤ len(rows) < k, and consistent mode never reports
+		// ErrInconsistent: the outcome is known without eliminating.
+		return ErrUnderdetermined
+	}
 	if s.useDense(len(rows), k) {
 		return s.solveRowsDense(dst, k, rows, bits, consistent)
 	}
@@ -222,8 +247,9 @@ func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consis
 }
 
 // useDense applies the multi-column cutover: wide systems with at least as
-// many equations as unknowns (anything narrower is underdetermined, which
-// the incremental basis detects cheaply).
+// many equations as unknowns (a short SolveInto system is underdetermined
+// or inconsistent, which the incremental basis settles with a tableau of
+// at most rows+1 rows).
 func (s *Solver) useDense(nrows, cols int) bool {
 	switch s.force {
 	case forceIncremental:
@@ -255,7 +281,7 @@ func (s *Solver) solveRowsIncremental(dst *Vector, k int, rows []Vector, bits []
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, rank, inconsistent)
+	return s.finishSolve(dst, s.tab, rank, inconsistent)
 }
 
 // SolveMatrixInto solves m·x = b into dst without cloning m; dst must have
@@ -280,7 +306,7 @@ func (s *Solver) SolveMatrixInto(dst *Vector, m Matrix, b Vector) error {
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, rank, inconsistent)
+	return s.finishSolve(dst, s.tab, rank, inconsistent)
 }
 
 // Rank computes the GF(2) rank of m in the scratch tableau, leaving m

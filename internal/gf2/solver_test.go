@@ -328,6 +328,74 @@ func TestSolverShapeErrors(t *testing.T) {
 	}
 }
 
+// TestSolveConsistentShortSystem pins the short-system exit: with fewer
+// equations than unknowns SolveConsistentInto reports ErrUnderdetermined
+// without eliminating — so it leaves dst untouched, allocates nothing and
+// never sizes a tableau, even on a Solver that never reserved scratch — on
+// every elimination path and on both sides of the dense cutover.
+func TestSolveConsistentShortSystem(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for _, k := range []int{90, m4riMinCols + 233} {
+		m := RandomMatrix(k-1, k, r)
+		x := RandomVector(k, r)
+		b, _ := m.MulVec(x)
+		rv, _ := matrixRows(m)
+		bits := make([]int, m.Rows())
+		for i := range bits {
+			bits[i] = b.Bit(i)
+		}
+		for _, force := range []int{forceAuto, forceIncremental, forceDense} {
+			s := forceSolver(force)
+			dst := RandomVector(k, r)
+			before := dst.Clone()
+			if n := testing.AllocsPerRun(20, func() {
+				if err := s.SolveConsistentInto(&dst, k, rv, bits); err != ErrUnderdetermined {
+					t.Fatalf("k=%d force=%d: err %v, want ErrUnderdetermined", k, force, err)
+				}
+			}); n != 0 {
+				t.Errorf("k=%d force=%d: short consistent solve allocates %.1f/op, want 0", k, force, n)
+			}
+			if !dst.Equal(before) {
+				t.Errorf("k=%d force=%d: short consistent solve wrote dst", k, force)
+			}
+			if s.tab != nil || s.dense != nil {
+				t.Errorf("k=%d force=%d: short consistent solve grew an elimination tableau", k, force)
+			}
+		}
+	}
+}
+
+// TestSolveShortSystemErrorPrecedence pins what the short-system exit must
+// not change: shape validation comes first in consistent mode, and
+// SolveInto still eliminates a short system, so an inconsistent one reports
+// ErrInconsistent rather than ErrUnderdetermined.
+func TestSolveShortSystemErrorPrecedence(t *testing.T) {
+	for _, k := range []int{5, m4riMinCols + 7} {
+		dst := NewVector(k)
+		if err := new(Solver).SolveConsistentInto(&dst, k, []Vector{NewVector(k + 1)}, []int{0}); !errors.Is(err, ErrShape) {
+			t.Errorf("k=%d wrong row width: err %v, want ErrShape", k, err)
+		}
+		if err := new(Solver).SolveConsistentInto(&dst, k, []Vector{NewVector(k)}, nil); !errors.Is(err, ErrShape) {
+			t.Errorf("k=%d rows/bits mismatch: err %v, want ErrShape", k, err)
+		}
+		bad := NewVector(k - 1)
+		if err := new(Solver).SolveConsistentInto(&bad, k, []Vector{NewVector(k)}, []int{0}); !errors.Is(err, ErrShape) {
+			t.Errorf("k=%d short dst: err %v, want ErrShape", k, err)
+		}
+
+		// Two copies of one equation with opposite right-hand sides.
+		row := NewVector(k)
+		row.Set(0, 1)
+		row.Set(k-1, 1)
+		rows, bits := []Vector{row, row}, []int{0, 1}
+		for _, force := range []int{forceAuto, forceIncremental, forceDense} {
+			if err := forceSolver(force).SolveInto(&dst, k, rows, bits); !errors.Is(err, ErrInconsistent) {
+				t.Errorf("k=%d force=%d: short inconsistent SolveInto err %v, want ErrInconsistent", k, force, err)
+			}
+		}
+	}
+}
+
 // TestSolverZeroAllocSteadyState pins the allocation contract: after
 // Reserve (or one warm solve), repeated solves of the same shape allocate
 // nothing — including failing ones, whose sentinel errors are unwrapped.
