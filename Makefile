@@ -49,7 +49,8 @@ bench-compare:
 	go run ./cmd/benchjson compare BENCH_after.json BENCH_ci.json -threshold 1.25 \
 		-min-speedup 'BenchmarkSumRateBatchCachedMiss/BenchmarkSumRateBatchCachedHit:5' \
 		-min-speedup 'BenchmarkErasureMaskScalar/BenchmarkErasureMaskWord:3' \
-		-min-speedup 'BenchmarkSolveIncremental445/BenchmarkSolveM4RI445:1.5'
+		-min-speedup 'BenchmarkSolveIncremental445/BenchmarkSolveM4RI445:1.5' \
+		-min-speedup 'BenchmarkSimplexSolveCold/BenchmarkSimplexSolveWarm:1.5'
 
 # bccd builds the crash-safe job daemon (see doc.go "Running bccd").
 bccd:

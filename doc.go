@@ -262,9 +262,18 @@
 // count, which is what makes every result bit-identical from 1 worker to N.
 //
 // For the LP grids concretely: each worker holds one warm evaluator, and
-// within a chunk the Naive4/HBC LPs warm-start from the previous point's
-// optimal basis (simplex.SolveWarmIn — usually zero phase-2 pivots on
-// adjacent grid points or region angles). The parallel knobs: WithWorkers
+// within a chunk the Naive4/HBC LPs warm-start from a neighbor's optimal
+// basis. The hint must come from the right neighbor: a sweep chunk is
+// visited placement by placement along the power axis (results stay
+// index-addressed), because HBC's optimal basis carries over one power step
+// at the same placement almost always, but matches the previous placement's
+// basis at the same power only about a quarter of the time; region sweeps
+// step the support angle of one curve. simplex.SolveWarmIn verifies a hint
+// rather than pivoting into it: it factors the hinted basis once and accepts
+// it when every basic value is ≥ -1e-7 and every reduced cost ≤ 1e-9 — the
+// tolerances the simplex itself stops at — reading the solution off that
+// factorization in zero pivots, bit-identical to a cold solve ending in the
+// same basis; any other hint is solved cold. The parallel knobs: WithWorkers
 // sets an engine-wide default; SweepSpec.Workers, RegionOptions.Workers,
 // RegionBatchSpec.Workers and CampaignSpec.Workers override per run; all
 // default to GOMAXPROCS. A post-solve refinement step makes every LP

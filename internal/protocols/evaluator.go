@@ -224,9 +224,13 @@ type Evaluator struct {
 
 	// Warm-start state for the simplex fallback (Naive4/HBC weighted-rate
 	// LPs): the optimal basis of the previous solve per (protocol, bound),
-	// used as a SolveWarmIn hint when warm starting is enabled. Off by
-	// default so results are bit-reproducible regardless of call history;
-	// grid sweeps enable it and reset at deterministic chunk boundaries.
+	// used as a SolveWarmIn hint when warm starting is enabled. A hint pays
+	// only if it is still optimal, so callers order their solves so that
+	// consecutive ones are neighbors: internal/sweep visits each relay
+	// placement's points along the power axis, and region sweeps step the
+	// support angle. Off by default so results are bit-reproducible
+	// regardless of call history; grid sweeps enable it and reset at
+	// deterministic chunk boundaries.
 	warmOn bool
 	warm   [HBC + 1][BoundOuter + 1]warmBasis
 }
@@ -238,11 +242,16 @@ type warmBasis struct {
 }
 
 // SetWarmStart toggles LP warm starting across consecutive solves of the
-// same (protocol, bound). Warm-started solves reach the same optimum as cold
-// ones (objectives agree to ~1e-12; the pivot path, and hence the last bits
-// of rounding, may differ), typically in zero phase-2 pivots on adjacent
-// sweep grid points. Enabling it makes results depend on solve order, so
-// deterministic pipelines must reset at fixed boundaries (ResetWarmStart).
+// same (protocol, bound): each Naive4/HBC solve hands the previous optimal
+// basis to simplex.SolveWarmIn, which verifies it — one factorization of
+// the hinted basis, accepted only if it is primal and dual feasible at the
+// simplex's own tolerances — and otherwise solves cold. A verified solve
+// returns exactly the bits a cold solve ending in that basis returns; where
+// the LP is degenerate (several optimal vertices), it may report a
+// different, equally optimal vertex than a cold solve would (objectives
+// agree to ~1e-12). Enabling it therefore makes results depend on solve
+// order, so deterministic pipelines must reset at fixed boundaries
+// (ResetWarmStart).
 func (e *Evaluator) SetWarmStart(on bool) {
 	e.warmOn = on
 	if !on {
@@ -360,8 +369,8 @@ func (e *Evaluator) SumRateLinks(p Protocol, b Bound, li LinkInfos) (float64, er
 // WeightedRateLinks is WeightedRate for externally supplied mutual
 // informations. The returned Optimum.Durations aliases evaluator memory.
 func (e *Evaluator) WeightedRateLinks(p Protocol, b Bound, li LinkInfos, muA, muB float64) (Optimum, error) {
-	if muA < 0 || muB < 0 {
-		return Optimum{}, fmt.Errorf("protocols: negative weights (%g, %g)", muA, muB)
+	if err := checkWeights(muA, muB); err != nil {
+		return Optimum{}, err
 	}
 	tpl := templateFor(p, b)
 	if tpl == nil || !tpl.ok {

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -314,6 +315,49 @@ func TestEvaluatorRegionMatchesSpecRegion(t *testing.T) {
 			}
 			if !xmath.ApproxEqual(got.Area(), want.Area(), 1e-9*(1+want.Area())) {
 				t.Errorf("%v %v: region area %g vs %g", p, b, got.Area(), want.Area())
+			}
+		}
+	}
+}
+
+// TestWeightedRateRejectsBadWeights pins that every weighted-rate entry
+// point refuses a NaN, infinite or negative weight with ErrBadWeights rather
+// than returning a NaN or infinite objective, for all five protocols, both
+// bounds, and both solver paths: the evaluator (closed form or warm/cold
+// simplex) and the compiled spec's LP.
+func TestWeightedRateRejectsBadWeights(t *testing.T) {
+	s := NewScenarioDB(10, -7, 0, 5)
+	li, err := LinkInfosFromScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	weights := [][2]float64{{nan, 1}, {1, nan}, {inf, 1}, {1, inf}, {-inf, 1}, {-1, 1}, {1, -1}}
+	cold, warm := NewEvaluator(), NewEvaluator()
+	warm.SetWarmStart(true)
+	for _, p := range Protocols() {
+		for _, b := range allBounds {
+			spec, err := Compile(p, b, li)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := map[string]func(muA, muB float64) (Optimum, error){
+				"evaluator":      func(muA, muB float64) (Optimum, error) { return cold.WeightedRateLinks(p, b, li, muA, muB) },
+				"warm evaluator": func(muA, muB float64) (Optimum, error) { return warm.WeightedRateLinks(p, b, li, muA, muB) },
+				"spec":           spec.MaxWeightedRate,
+			}
+			for name, solve := range paths {
+				// Prime the warm slot so a bad weight meets a live hint.
+				if _, err := solve(1, 1); err != nil {
+					t.Fatalf("%v %v %s: (1, 1): %v", p, b, name, err)
+				}
+				for _, w := range weights {
+					opt, err := solve(w[0], w[1])
+					if !errors.Is(err, ErrBadWeights) {
+						t.Errorf("%v %v %s: weights (%g, %g): objective %g, err %v; want ErrBadWeights",
+							p, b, name, w[0], w[1], opt.Objective, err)
+					}
+				}
 			}
 		}
 	}

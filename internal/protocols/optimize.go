@@ -55,8 +55,8 @@ func (s Spec) lp(muA, muB float64) simplex.Problem {
 // MaxWeightedRate maximizes μa·Ra + μb·Rb over the bound, jointly optimizing
 // the phase durations (the paper's LP of Section IV).
 func (s Spec) MaxWeightedRate(muA, muB float64) (Optimum, error) {
-	if muA < 0 || muB < 0 {
-		return Optimum{}, fmt.Errorf("protocols: negative weights (%g, %g)", muA, muB)
+	if err := checkWeights(muA, muB); err != nil {
+		return Optimum{}, err
 	}
 	sol, err := s.lp(muA, muB).Solve()
 	if err != nil {
@@ -67,6 +67,16 @@ func (s Spec) MaxWeightedRate(muA, muB float64) (Optimum, error) {
 		Durations: sol.X[2 : 2+s.Phases],
 		Objective: sol.Objective,
 	}, nil
+}
+
+// checkWeights rejects support weights the LP cannot price: a negative
+// weight, and a NaN or infinite one, which would otherwise come back as a
+// NaN or infinite objective with a nil error.
+func checkWeights(muA, muB float64) error {
+	if muA >= 0 && muB >= 0 && !math.IsInf(muA, 1) && !math.IsInf(muB, 1) {
+		return nil
+	}
+	return fmt.Errorf("%w: (%g, %g), want finite and non-negative", ErrBadWeights, muA, muB)
 }
 
 // MaxSumRate maximizes Ra + Rb (the quantity plotted in Fig 3).
@@ -214,6 +224,10 @@ func (s Spec) Region(opts RegionOptions) (region.Polygon, error) {
 // opts.Ctx is set, cancellation is honored between support directions.
 func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts RegionOptions) (region.Polygon, error) {
 	angles := opts.angles()
+	if angles < 2 {
+		// RegionDirection spaces directions by 1/(angles-1).
+		return region.Polygon{}, fmt.Errorf("%w: region sweep needs at least 2 angles, got %d", ErrBadAngles, angles)
+	}
 	swept := make([]region.Point, 0, angles)
 	for i := 0; i < angles; i++ {
 		if opts.Ctx != nil {

@@ -103,6 +103,8 @@ var (
 	ErrBadScenario     = errors.New("protocols: invalid scenario")
 	ErrBadDurations    = errors.New("protocols: invalid phase durations")
 	ErrNotEvaluable    = errors.New("protocols: bound has no exact Gaussian evaluation")
+	ErrBadWeights      = errors.New("protocols: invalid support weights")
+	ErrBadAngles       = errors.New("protocols: invalid region angle count")
 )
 
 // Scenario is a Gaussian evaluation point per Section IV: per-node per-phase

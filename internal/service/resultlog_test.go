@@ -121,10 +121,12 @@ func TestRunRegionBatchInterruptResumeByteIdentical(t *testing.T) {
 			{Protocol: bicoop.TDBC, Bound: bicoop.Inner},
 			{Protocol: bicoop.HBC, Bound: bicoop.Outer},
 		},
-		// 241 angles keeps the batch comfortably larger than the first
-		// interrupt budget on fast machines, so the resume path is always
-		// exercised at least once.
-		Angles:  241,
+		// 721 angles keeps the batch comfortably larger than the first
+		// interrupt budget on fast machines (241 angles finished in about
+		// 1.4 ms on a 2-core Xeon once warm-started solves became
+		// factorization-only), so the resume path is always exercised at
+		// least once.
+		Angles:  721,
 		Workers: 2,
 	}
 	want := referenceCSV(t, JobSpec{RegionBatch: &RegionJob{

@@ -159,108 +159,114 @@ func (ws *Workspace) Basis(dst []int) []int {
 // SolveWarmIn is SolveIn with a warm-start hint: basis is a Basis snapshot
 // from a previous solve of a same-shaped problem (grid sweeps re-solve the
 // same LP with slightly perturbed coefficients, where the optimal basis
-// rarely changes between adjacent points). The hint is used only when it is
-// sound end to end — the problem is in pure inequality form with
-// non-negative right-hand sides, the basis indexes structural/slack columns
-// bijectively, the crash pivots are numerically stable, and the crashed
-// vertex is primal feasible; in every other case the call falls back to
-// SolveIn. SolveWarmIn therefore never fails where SolveIn would succeed,
-// and always returns an optimum of p itself.
+// rarely changes between adjacent points). The hint is verified rather than
+// pivoted into: for a problem in pure inequality form with non-negative
+// right-hand sides, whose hint indexes structural/slack columns
+// bijectively, the hinted basis matrix is LU-factored once — the same
+// factorization refineSolution performs — and the hint is accepted when
+// that factorization shows it optimal at the simplex's own stopping
+// tolerances: every basic value is ≥ -feasTol (primal feasible) and every
+// reduced cost is ≤ pivotTol (dual feasible). The accepted solution is read
+// off the factorization in zero pivots, bit-identical to what SolveIn
+// returns whenever it ends in the same basis. Any other hint — malformed,
+// singular, primal or dual infeasible — falls straight back to SolveIn, so
+// SolveWarmIn never fails where SolveIn would succeed and always returns an
+// optimum of p itself.
 func (p Problem) SolveWarmIn(ws *Workspace, basis []int) (Solution, error) {
-	if sol, ok, err := p.trySolveWarm(ws, basis); ok {
-		return sol, err
+	if sol, ok := p.verifyHint(ws, basis); ok {
+		return sol, nil
 	}
 	return p.SolveIn(ws)
 }
 
-// trySolveWarm attempts the warm-started solve. ok reports whether the hint
-// applied; when false the caller must run the cold path (the workspace may
-// have been dirtied, which SolveIn's ensure resets).
-func (p Problem) trySolveWarm(ws *Workspace, basis []int) (Solution, bool, error) {
+// verifyHint factors the hinted basis and reports whether it is optimal for
+// p. If it is, verifyHint returns the basic solution and leaves the hint in
+// ws.basis, so Basis reports it. If not, the caller must run the cold path
+// (the workspace may have been dirtied, which SolveIn's ensure resets).
+func (p Problem) verifyHint(ws *Workspace, basis []int) (Solution, bool) {
 	nStruct := len(p.C)
 	nSlack := len(p.AUb)
 	if nStruct == 0 || nSlack == 0 || len(p.AEq) != 0 || len(p.BEq) != 0 ||
 		len(basis) != nSlack || len(p.BUb) != nSlack {
-		return Solution{}, false, nil
+		return Solution{}, false
 	}
 	for _, row := range p.AUb {
 		if len(row) != nStruct {
-			return Solution{}, false, nil
+			return Solution{}, false
 		}
 	}
 	for _, b := range p.BUb {
 		if b < 0 {
-			return Solution{}, false, nil
+			return Solution{}, false
 		}
 	}
 	nCols := nStruct + nSlack
 	if nCols > 64 {
 		// The bitmap below caps the column count; the LPs this fast path
 		// serves are far smaller.
-		return Solution{}, false, nil
+		return Solution{}, false
 	}
-	var seen uint64
+	var inBasis uint64
 	for _, b := range basis {
-		if b < 0 || b >= nCols || seen&(1<<uint(b)) != 0 {
-			return Solution{}, false, nil
+		if b < 0 || b >= nCols || inBasis&(1<<uint(b)) != 0 {
+			return Solution{}, false
 		}
-		seen |= 1 << uint(b)
+		inBasis |= 1 << uint(b)
 	}
 
 	ws.ensure(nSlack, nCols, nStruct)
-	t := tableau{
-		rows:    ws.rows,
-		obj:     ws.obj,
-		art:     ws.art,
-		basis:   ws.basis,
-		nStruct: nStruct,
-		nSlack:  nSlack,
-		nCols:   nCols,
+	copy(ws.basis, basis)
+	if !p.factorBasis(ws, nStruct) {
+		return Solution{}, false
 	}
-	for i, src := range p.AUb {
-		row := t.rows[i]
-		copy(row, src)
-		row[nStruct+i] = 1
-		row[nCols] = p.BUb[i]
-		t.basis[i] = nStruct + i
+	m := nSlack
+	for _, v := range ws.art[:m] {
+		if !(v >= -feasTol) {
+			return Solution{}, false
+		}
+	}
+	// The dual prices π solve Mᵀ·π = c_B. With P·M = L·U that is Uᵀ·z = c_B
+	// (forward), then Lᵀ·w = z (backward, unit diagonal), both in place in
+	// w, and π = Pᵀ·w: π[r] = w[k] where factor row k is original row r.
+	lu := ws.rows
+	w := ws.obj[:m]
+	for k := 0; k < m; k++ {
+		v := 0.0
+		if j := ws.basis[k]; j < nStruct {
+			v = p.C[j]
+		}
+		for i := 0; i < k; i++ {
+			v -= lu[i][k] * w[i]
+		}
+		w[k] = v / lu[k][k]
+	}
+	for k := m - 1; k >= 0; k-- {
+		v := w[k]
+		for i := k + 1; i < m; i++ {
+			v -= lu[i][k] * w[i]
+		}
+		w[k] = v
+	}
+	// Every nonbasic reduced cost d_j = c_j - π·A_j must be ≤ pivotTol. A
+	// slack's column is the unit vector of its row, so its d is -π_row.
+	for k, row := range lu {
+		if r := int(row[m+1]); inBasis&(1<<uint(nStruct+r)) == 0 && !(-w[k] <= pivotTol) {
+			return Solution{}, false
+		}
 	}
 	for j := 0; j < nStruct; j++ {
-		t.obj[j] = -p.C[j]
-	}
-
-	// Basis crash: pivot each hinted basic column into its row. Pivots keep
-	// the tableau exactly consistent in any order; a (near-)zero pivot
-	// element means the hinted basis is singular for this problem, so hand
-	// back to the cold path.
-	for i, col := range basis {
-		if t.basis[i] == col {
+		if inBasis&(1<<uint(j)) != 0 {
 			continue
 		}
-		if math.Abs(t.rows[i][col]) <= pivotTol {
-			return Solution{}, false, nil
+		d := p.C[j]
+		for k, row := range lu {
+			d -= w[k] * p.AUb[int(row[m+1])][j]
 		}
-		t.pivot(i, col)
-	}
-	// The crashed vertex must be primal feasible to start phase 2; a hinted
-	// basis that turned infeasible at this grid point is a genuine vertex
-	// change, not an error — cold-solve it.
-	for _, r := range t.rows {
-		if r[t.nCols] < 0 {
-			return Solution{}, false, nil
+		if !(d <= pivotTol) {
+			return Solution{}, false
 		}
 	}
-	if err := t.iterate(t.obj, t.nCols); err != nil {
-		if errors.Is(err, ErrUnbounded) {
-			// From a feasible basis, unboundedness is a property of p itself.
-			return Solution{}, true, ErrUnbounded
-		}
-		// Iteration-limit anomalies may be an artifact of the warm path's
-		// pivot history; let the cold path decide.
-		return Solution{}, false, nil
-	}
-	sol := t.solution(ws)
-	p.refineSolution(ws, &t, &sol)
-	return sol, true, nil
+	return p.basicSolution(ws, nStruct), true
 }
 
 // SolveIn maximizes the problem using the given workspace's storage. Repeat
@@ -299,15 +305,13 @@ func (p Problem) SolveIn(ws *Workspace) (Solution, error) {
 }
 
 // refineSolution recomputes the basic variables of an optimal solution
-// directly from the original problem data given the final basis, via dense
-// Gaussian elimination with partial pivoting. It applies to pure-inequality
-// problems with non-negative right-hand sides (the shape the evaluator hot
-// path emits and SolveWarmIn accepts). The tableau's pivot history then no
-// longer influences the returned numbers: every solve ending in the same
-// basis returns bitwise-identical results, which is what makes warm-started
-// sweeps agree with cold ones to ~1e-12 instead of accumulated pivot
-// rounding. On a singular or out-of-shape system it leaves the tableau
-// solution untouched.
+// directly from the original problem data given the final basis, via
+// factorBasis. It applies to pure-inequality problems with non-negative
+// right-hand sides (the shape the evaluator hot path emits and SolveWarmIn
+// accepts). The tableau's pivot history then no longer influences the
+// returned numbers: every solve ending in the same basis — cold, or a
+// verified warm hint — returns bitwise-identical results. On a singular or
+// out-of-shape system it leaves the tableau solution untouched.
 func (p Problem) refineSolution(ws *Workspace, t *tableau, sol *Solution) {
 	if len(p.AEq) != 0 || t.nArt != 0 {
 		return
@@ -317,25 +321,43 @@ func (p Problem) refineSolution(ws *Workspace, t *tableau, sol *Solution) {
 			return
 		}
 	}
-	m := len(t.rows)
-	// Reuse the (no longer needed) tableau rows as the m x (m+1) augmented
-	// system M·y = b, where unknown y_k is the value of row k's basic
-	// variable: M[i][k] is that variable's coefficient in original row i.
-	aug := t.rows
+	if !p.factorBasis(ws, t.nStruct) {
+		return // singular basis system; keep the tableau solution
+	}
+	refined := p.basicSolution(ws, t.nStruct)
+	sol.X, sol.Objective = refined.X, refined.Objective
+}
+
+// factorBasis solves the basis system M·y = b of a pure-inequality problem,
+// where unknown y_k is the value of ws.basis[k] and M[i][k] is that
+// variable's coefficient in original row i, by LU factorization with
+// partial pivoting. On return ws.rows[0..m) hold the row-permuted factors —
+// U on and above the diagonal, L's multipliers below it — with the
+// eliminated right-hand side in column m and each row's original index in
+// column m+1 (it travels with the pivoting swaps), and ws.art[:m] holds y.
+// The right-hand side is eliminated alongside the matrix, so y is the same
+// bits whatever produced ws.basis. It reports false on a (numerically)
+// singular basis. ws.rows must have at least m+2 columns, which every
+// tableau of an m-row inequality problem has.
+//
+//bicoop:noalloc
+func (p Problem) factorBasis(ws *Workspace, nStruct int) bool {
+	m := len(p.AUb)
+	aug := ws.rows
 	for i := 0; i < m; i++ {
-		row := aug[i]
-		for k := 0; k < m; k++ {
-			j := t.basis[k]
+		row, src := aug[i], p.AUb[i]
+		for k, j := range ws.basis[:m] {
 			switch {
-			case j < t.nStruct:
-				row[k] = p.AUb[i][j]
-			case j-t.nStruct == i:
+			case j < nStruct:
+				row[k] = src[j]
+			case j-nStruct == i:
 				row[k] = 1
 			default:
 				row[k] = 0
 			}
 		}
 		row[m] = p.BUb[i]
+		row[m+1] = float64(i)
 	}
 	for col := 0; col < m; col++ {
 		piv, best := col, math.Abs(aug[col][col])
@@ -344,21 +366,21 @@ func (p Problem) refineSolution(ws *Workspace, t *tableau, sol *Solution) {
 				piv, best = r, a
 			}
 		}
-		if best < 1e-12 {
-			return // singular basis system; keep the tableau solution
+		if !(best >= 1e-12) {
+			return false
 		}
 		aug[piv], aug[col] = aug[col], aug[piv]
 		prow := aug[col]
 		for r := col + 1; r < m; r++ {
-			f := aug[r][col] / prow[col]
+			row := aug[r]
+			f := row[col] / prow[col]
+			row[col] = f
 			if f == 0 {
 				continue
 			}
-			row := aug[r]
 			for c := col + 1; c <= m; c++ {
 				row[c] -= f * prow[c]
 			}
-			row[col] = 0
 		}
 	}
 	y := ws.art[:m] // phase-1 row storage is free after the solve
@@ -369,18 +391,25 @@ func (p Problem) refineSolution(ws *Workspace, t *tableau, sol *Solution) {
 		}
 		y[k] = v / aug[k][k]
 	}
+	return true
+}
+
+// basicSolution scatters factorBasis's basic values into the structural
+// solution vector and prices the objective.
+//
+//bicoop:noalloc
+func (p Problem) basicSolution(ws *Workspace, nStruct int) Solution {
 	clear(ws.x)
-	for k := 0; k < m; k++ {
-		if j := t.basis[k]; j < t.nStruct {
-			ws.x[j] = y[k]
+	for k, j := range ws.basis {
+		if j < nStruct {
+			ws.x[j] = ws.art[k]
 		}
 	}
 	obj := 0.0
 	for j, c := range p.C {
 		obj += c * ws.x[j]
 	}
-	sol.X = ws.x
-	sol.Objective = obj
+	return Solution{X: ws.x, Objective: obj}
 }
 
 // tableau holds the dense simplex tableau. Columns are laid out as

@@ -133,15 +133,16 @@ type Point struct {
 	Durations   []float64
 }
 
-// resolvedGrid is the up-front materialization of a spec's axes: one entry
-// per (power, placement) pair, aligned placement indices, and the erasure
-// link informations.
+// resolvedGrid is the up-front materialization of a spec's axes: the power
+// axis, each placement's gains resolved once, and the erasure link
+// informations. Gaussian scenario si is power si/len(places) at placement
+// si%len(places).
 type resolvedGrid struct {
 	protos   []protocols.Protocol
 	bound    protocols.Bound
-	scen     []Scenario
-	placeIdx []int // aligned with scen; -1 for base gains
-	powerOf  []float64
+	powers   []float64  // nil when the spec has no Gaussian axis
+	places   []Scenario // gains in dB with PowerDB unset; the Base gains when Spec.Placements is empty
+	placed   bool       // places come from Spec.Placements (else placement index -1)
 	erasures []protocols.LinkInfos
 	erasSpec []Erasure // aligned with erasures; retained for cache keys
 	gaussN   int
@@ -149,33 +150,25 @@ type resolvedGrid struct {
 
 func (spec Spec) resolve() (resolvedGrid, error) {
 	g := resolvedGrid{protos: spec.protos(), bound: spec.bound()}
-	powers := spec.PowersDB
-	if len(powers) == 0 {
-		powers = []float64{spec.Base.PowerDB}
-	}
-	if !spec.gaussian() {
-		powers = nil
-	}
-	for _, pdb := range powers {
-		if len(spec.Placements) == 0 {
-			s := spec.Base
-			s.PowerDB = pdb
-			g.scen = append(g.scen, s)
-			g.placeIdx = append(g.placeIdx, -1)
-			g.powerOf = append(g.powerOf, pdb)
-			continue
+	if spec.gaussian() {
+		g.powers = spec.PowersDB
+		if len(g.powers) == 0 {
+			g.powers = []float64{spec.Base.PowerDB}
 		}
-		for pi, pl := range spec.Placements {
-			s, err := pl.scenario(pdb)
-			if err != nil {
-				return resolvedGrid{}, fmt.Errorf("%w: placement %d: %w", ErrSpec, pi, err)
+		g.places = []Scenario{spec.Base}
+		if len(spec.Placements) > 0 {
+			g.placed = true
+			g.places = make([]Scenario, len(spec.Placements))
+			for pi, pl := range spec.Placements {
+				s, err := pl.scenario(0)
+				if err != nil {
+					return resolvedGrid{}, fmt.Errorf("%w: placement %d: %w", ErrSpec, pi, err)
+				}
+				g.places[pi] = s
 			}
-			g.scen = append(g.scen, s)
-			g.placeIdx = append(g.placeIdx, pi)
-			g.powerOf = append(g.powerOf, pdb)
 		}
+		g.gaussN = len(g.powers) * len(g.places) * len(g.protos)
 	}
-	g.gaussN = len(g.scen) * len(g.protos)
 	for i, e := range spec.Erasures {
 		net := sim.ErasureNetwork{EpsAR: e.EpsAR, EpsBR: e.EpsBR, EpsAB: e.EpsAB}
 		if err := net.Validate(); err != nil {
@@ -187,11 +180,29 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 	return g, nil
 }
 
+// scenario returns Gaussian scenario si and its placement index (-1 for the
+// base gains).
+func (g *resolvedGrid) scenario(si int) (Scenario, int) {
+	pl := si % len(g.places)
+	s := g.places[pl]
+	s.PowerDB = g.powers[si/len(g.places)]
+	if !g.placed {
+		pl = -1
+	}
+	return s, pl
+}
+
 // Sweep evaluates the grid across opts.Workers and streams every point to
-// yield in enumeration order. One warm evaluator is held per worker; within
-// each fixed-size chunk the Naive4/HBC LPs warm-start from the previous
-// point's basis, and the warm state resets at chunk boundaries so results
-// are bit-identical for every worker count. A yield error or context
+// yield in enumeration order. One warm evaluator is held per worker. Within
+// each fixed-size chunk the Gaussian points are visited placement by
+// placement, each placement's points in ascending index (hence power)
+// order, so the Naive4/HBC LPs warm-start from the same placement's basis
+// one power step earlier — the neighbor whose optimal basis almost always
+// carries over (simplex.SolveWarmIn verifies it in one factorization).
+// Index order would hint each placement with another placement's basis,
+// which HBC's optimum rarely shares. Warm state resets at chunk boundaries
+// and the visit order depends only on the chunk, so results are
+// bit-identical for every worker count. A yield error or context
 // cancellation stops the sweep within one chunk per worker.
 func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error) error {
 	grid, err := spec.resolve()
@@ -204,33 +215,19 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 	// chunks of points live, not the whole grid.
 	chunks := make([][]Point, (n+ChunkSize-1)/ChunkSize)
 	nP := len(grid.protos)
+	nPl := len(grid.places)
 	do := func(ev *protocols.Evaluator, lo, hi int) error {
 		buf := make([]Point, hi-lo)
-		lastScen := -1
-		var li protocols.LinkInfos
 		durs := make([]float64, 0, 4*(hi-lo)) // one backing array per chunk, carved per point
-		for i := lo; i < hi; i++ {
-			pt := Point{Index: i, PlacementIdx: -1, ErasureIdx: -1}
-			var proto protocols.Protocol
-			var bound protocols.Bound
+		var memo scenarioMemo
+		lastScen := -1 // Gaussian scenario whose link informations li holds
+		var li protocols.LinkInfos
+		eval := func(pt Point) error {
 			var key cache.Key
-			gaussian := i < grid.gaussN
-			si := -1
-			if gaussian {
-				si = i / nP
-				proto, bound = grid.protos[i%nP], grid.bound
-				pt.PowerDB = grid.powerOf[si]
-				pt.PlacementIdx = grid.placeIdx[si]
-				pt.Scenario = grid.scen[si]
-			} else {
-				proto, bound = protocols.TDBC, protocols.BoundInner
-				pt.ErasureIdx = i - grid.gaussN
-			}
-			pt.Proto, pt.Bound = proto, bound
 			if opts.Cache != nil {
-				if gaussian {
-					s := grid.scen[si]
-					key = cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
+				if pt.ErasureIdx < 0 {
+					s := pt.Scenario
+					key = cache.SumRateKey(pt.Proto, pt.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
 				} else {
 					e := grid.erasSpec[pt.ErasureIdx]
 					key = cache.ErasureKey(e.EpsAR, e.EpsBR, e.EpsAB)
@@ -240,25 +237,22 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 					durs = append(durs, v.Dur[:v.NDur]...)
 					pt.Sum, pt.Ra, pt.Rb = v.Sum, v.Ra, v.Rb
 					pt.Durations = durs[start:len(durs):len(durs)]
-					buf[i-lo] = pt
-					continue
+					buf[pt.Index-lo] = pt
+					return nil
 				}
 			}
-			if gaussian {
-				if si != lastScen {
-					var err error
-					if li, err = protocols.LinkInfosFromScenario(grid.scen[si].internal()); err != nil {
-						return fmt.Errorf("sweep point %d: %w", i, err)
-					}
-					lastScen = si
+			if pt.ErasureIdx >= 0 {
+				li, lastScen = grid.erasures[pt.ErasureIdx], -1
+			} else if si := pt.Index / nP; si != lastScen {
+				var err error
+				if li, err = protocols.LinkInfosFromScenario(memo.internal(pt.Scenario)); err != nil {
+					return err
 				}
-			} else {
-				li = grid.erasures[pt.ErasureIdx]
-				lastScen = -1
+				lastScen = si
 			}
-			opt, err := ev.WeightedRateLinks(proto, bound, li, 1, 1)
+			opt, err := ev.WeightedRateLinks(pt.Proto, pt.Bound, li, 1, 1)
 			if err != nil {
-				return fmt.Errorf("sweep point %d: %w", i, err)
+				return err
 			}
 			if opts.Cache != nil {
 				opts.Cache.Add(key, cache.MakeValue(opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations))
@@ -267,7 +261,43 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 			durs = append(durs, opt.Durations...)
 			pt.Sum, pt.Ra, pt.Rb = opt.Objective, opt.Rates.Ra, opt.Rates.Rb
 			pt.Durations = durs[start:len(durs):len(durs)]
-			buf[i-lo] = pt
+			buf[pt.Index-lo] = pt
+			return nil
+		}
+		// failAt is the lowest failing index seen so far. Points are not
+		// visited in index order, so a failure only cuts off the visits
+		// above it (every loop below stops at failAt), and the chunk reports
+		// its lowest-index failure exactly as an index-ordered walk would.
+		failAt, failErr := hi, error(nil)
+		visit := func(pt Point) {
+			if err := eval(pt); err != nil {
+				failAt, failErr = pt.Index, fmt.Errorf("sweep point %d: %w", pt.Index, err)
+			}
+		}
+		if gHi := min(hi, grid.gaussN); lo < gHi {
+			// Scenario si holds points [si·nP, (si+1)·nP); the chunk's
+			// first power row starts at scenario siRow.
+			siRow := lo / nP / nPl * nPl
+			for pl := 0; pl < nPl; pl++ {
+				for si := siRow + pl; si*nP < min(gHi, failAt); si += nPl {
+					s, placeIdx := grid.scenario(si)
+					for i := max(si*nP, lo); i < min((si+1)*nP, gHi, failAt); i++ {
+						visit(Point{
+							Index: i, PowerDB: s.PowerDB, PlacementIdx: placeIdx, ErasureIdx: -1,
+							Scenario: s, Proto: grid.protos[i-si*nP], Bound: grid.bound,
+						})
+					}
+				}
+			}
+		}
+		for i := max(lo, grid.gaussN); i < min(hi, failAt); i++ {
+			visit(Point{
+				Index: i, PlacementIdx: -1, ErasureIdx: i - grid.gaussN,
+				Proto: protocols.TDBC, Bound: protocols.BoundInner,
+			})
+		}
+		if failErr != nil {
+			return failErr
 		}
 		chunks[lo/ChunkSize] = buf
 		return nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bicoop/internal/protocols"
+	"bicoop/internal/region"
 )
 
 func regionTestSpec(angles int) RegionSpec {
@@ -199,6 +200,40 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 	nan.Scenarios[0].PowerDB = math.NaN()
 	if err := RegionBatch(context.Background(), nan, Options{}, func(RegionResult) error { return nil }); err == nil {
 		t.Fatal("NaN scenario accepted")
+	}
+}
+
+// TestRegionOneAngleRefusedOnBothPaths pins that a 1-angle sweep, whose
+// support direction would divide 0 by 0, is an error on the serial region
+// path (Spec.Region, Evaluator.Region, GaussianRegion) as on RegionBatch,
+// instead of a polygon built from the two axis solves alone.
+func TestRegionOneAngleRefusedOnBothPaths(t *testing.T) {
+	s := Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}.internal()
+	opts := protocols.RegionOptions{Angles: 1}
+	for _, proto := range protocols.Protocols() {
+		spec, err := protocols.CompileGaussian(proto, protocols.BoundInner, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := map[string]func() (region.Polygon, error){
+			"Spec.Region": func() (region.Polygon, error) { return spec.Region(opts) },
+			"Evaluator.Region": func() (region.Polygon, error) {
+				return protocols.NewEvaluator().Region(proto, protocols.BoundInner, s, opts)
+			},
+			"GaussianRegion": func() (region.Polygon, error) { return protocols.GaussianRegion(proto, protocols.BoundInner, s, opts) },
+		}
+		for name, build := range serial {
+			if poly, err := build(); !errors.Is(err, protocols.ErrBadAngles) {
+				t.Errorf("%v %s: angles=1 gave %d vertices, err %v; want ErrBadAngles", proto, name, len(poly.Vertices()), err)
+			}
+		}
+	}
+	err := RegionBatch(context.Background(), regionTestSpec(1), Options{}, func(RegionResult) error {
+		t.Fatal("yield on a 1-angle batch")
+		return nil
+	})
+	if !errors.Is(err, ErrSpec) {
+		t.Errorf("RegionBatch angles=1 err = %v, want ErrSpec", err)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,6 +173,38 @@ func TestRunDoErrorOrder(t *testing.T) {
 		}, nil)
 	if !errors.Is(err, early) {
 		t.Fatalf("err = %v, want the error of the earliest chunk", err)
+	}
+}
+
+// TestSweepChunkReportsLowestFailingIndex pins the error a chunk reports
+// when it fails at several placements. Chunks visit their points placement
+// by placement, so a later power row of a low placement can come up before
+// an earlier row of a high one. Two protocols over three placements make a
+// power row six points, so the resumed chunk [64, 128) opens inside row 10
+// at placement 2. NaN powers at rows 10 and 11 fail points 64–65
+// (placement 2) and 66–71 (all placements): the placement-0 visit meets 66
+// before the placement-2 visit meets 64, and 64 must be reported.
+func TestSweepChunkReportsLowestFailingIndex(t *testing.T) {
+	powers := make([]float64, 30)
+	for i := range powers {
+		powers[i] = float64(i)
+	}
+	powers[10], powers[11] = math.NaN(), math.NaN()
+	spec := Spec{
+		Protocols:  []protocols.Protocol{protocols.DT, protocols.HBC},
+		Base:       Scenario{GabDB: -7, GarDB: 0, GbrDB: 5},
+		PowersDB:   powers,
+		Placements: []Placement{{Pos: 0.25, Exponent: 3}, {Pos: 0.5, Exponent: 3}, {Pos: 0.75, Exponent: 3}},
+	}
+	for _, workers := range []int{1, 3} {
+		err := Sweep(context.Background(), spec, Options{Workers: workers, Start: ChunkSize}, func(Point) error { return nil })
+		var cerr *ChunkError
+		if !errors.As(err, &cerr) || cerr.Start != ChunkSize {
+			t.Fatalf("workers=%d: err = %v, want a *ChunkError for chunk [%d, %d)", workers, err, ChunkSize, 2*ChunkSize)
+		}
+		if !errors.Is(err, protocols.ErrBadScenario) || !strings.Contains(err.Error(), "sweep point 64:") {
+			t.Errorf("workers=%d: err = %v, want point 64's ErrBadScenario", workers, err)
+		}
 	}
 }
 
