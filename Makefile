@@ -50,6 +50,7 @@ bench-compare:
 		-min-speedup 'BenchmarkSumRateBatchCachedMiss/BenchmarkSumRateBatchCachedHit:5' \
 		-min-speedup 'BenchmarkErasureMaskScalar/BenchmarkErasureMaskWord:3' \
 		-min-speedup 'BenchmarkSolveIncremental445/BenchmarkSolveM4RI445:1.5' \
+		-min-speedup 'BenchmarkSolvePairSeparate1483/BenchmarkSolvePair1483:1.5' \
 		-min-speedup 'BenchmarkSimplexSolveCold/BenchmarkSimplexSolveWarm:1.5'
 
 # bccd builds the crash-safe job daemon (see doc.go "Running bccd").

@@ -300,24 +300,40 @@
 // through a reusable word-level elimination tableau (gf2.Solver.SolveInto
 // and the SolveConsistentInto early-stop variant for noiseless erasure
 // observations), which from 256 unknowns switches to a dense M4RI-style
-// multi-column eliminator (internal/gf2/m4ri.go: 8 pivot columns per pass,
-// a combination table indexed directly by the row's stripe bits, row
-// echelon form plus back substitution). The GF(2) layer does only the
-// elimination a block's outcome depends on: a consistent system with fewer
-// equations than unknowns — every relay decode above the bound — returns
-// ErrUnderdetermined from its row count without eliminating. The cutover
-// is tuned on the waterfall's own shapes (consistent mode, ≈1.11 equations
-// per unknown at 0.9 of the bound; BenchmarkSolve* in internal/gf2, median
-// of 5 runs of 40 solves on a shared 2-core Xeon VM, Go 1.24):
+// multi-column eliminator (internal/gf2/m4ri.go: 16 pivot columns per pass,
+// combination tables indexed directly by the row's stripe bits — two 8-bit
+// tables while more than 900 rows remain below the pass's pivot block,
+// four 4-bit tables after that — row echelon form plus back substitution).
+// The incremental basis and the dense tableau share one scratch buffer in
+// gf2.Solver, since they never hold live state at once. The GF(2) layer
+// does only the elimination a block's outcome depends on: a consistent
+// system with fewer equations than unknowns — every relay decode above
+// the bound — returns ErrUnderdetermined from its row count without
+// eliminating, and the two MABC terminals, which receive the same relay
+// broadcast through their own erasures, decode in one
+// Solver.SolvePairConsistentInto call: a first pass takes its pivots from
+// the equations both terminals received, with each terminal's own
+// equations reduced by the same tables, and each terminal then finishes
+// with its own equations beneath the shared pivots (at the n=4000
+// waterfall point the terminals share about 1480 equations over 1483
+// unknowns, with 160–260 more each of their own). A side whose loaded
+// equations fall short of full rank falls back to its own
+// SolveConsistentInto, so every outcome is what two separate decodes
+// give. The cutover is tuned on the waterfall's own shapes (consistent
+// mode, ≈1.11 equations per unknown at 0.9 of the bound; BenchmarkSolve*
+// in internal/gf2, median of 5 runs of 10 solves on a shared 2-core Xeon
+// VM, Go 1.24; the pair row median of 9 runs of 10):
 //
 //	k     rows  incremental  dense    block
-//	320    356     0.32 ms   0.15 ms  n=1200 TDBC relay, wb
-//	400    445     0.56 ms   0.19 ms  n=1200 TDBC relay, wa
-//	445    494     0.71 ms   0.29 ms  n=1200 MABC relay
-//	1068  1188     4.5 ms    1.6 ms   n=4000 TDBC relay, wb
-//	1336  1485     7.5 ms    3.2 ms   n=4000 TDBC relay, wa
-//	1483  1649    11.2 ms    3.5 ms   n=4000 MABC relay
-//	489    445     short: 0.3 µs (was a 0.7 ms elimination)
+//	320    356     0.33 ms   0.12 ms  n=1200 TDBC relay, wb
+//	400    445     0.59 ms   0.19 ms  n=1200 TDBC relay, wa
+//	445    494     0.73 ms   0.16 ms  n=1200 MABC relay
+//	1068  1188     6.3 ms    1.5 ms   n=4000 TDBC relay, wb
+//	1336  1485    10.0 ms    2.4 ms   n=4000 TDBC relay, wa
+//	1483  1649    13.0 ms    2.8 ms   n=4000 MABC relay
+//	489    445     short: 0.5 µs (was a 0.7 ms elimination)
+//	1483  2×1499   two dense solves 5.1 ms, one pair decode 3.0 ms:
+//	               n=4000 MABC terminals (1262 shared rows, 237 own each)
 //
 // The incremental basis still wins at 128 unknowns; the dense path wins
 // from about 192.

@@ -6,8 +6,8 @@ import (
 )
 
 // Solver performs Gaussian elimination over GF(2) in a persistent scratch
-// tableau, so repeated solves (the bit-true simulator decodes four linear
-// systems per block) reuse one allocation.
+// tableau, so repeated solves (the bit-true simulators decode up to four
+// linear systems per block) reuse one allocation.
 //
 // The algorithm is an incremental word-level basis reduction: equations are
 // consumed one at a time, each reduced against the pivot rows collected so
@@ -32,16 +32,24 @@ import (
 // unknowns from ≈1650 equations, where a full elimination cost ≈23ms only
 // to report ErrUnderdetermined.
 //
+// SolvePairConsistentInto decodes two systems that share most of their
+// equations, as two receivers of one broadcast do, eliminating the shared
+// equations once.
+//
+// The incremental basis and the dense tableau never hold live state at
+// the same time, so they share one scratch buffer.
+//
 // The zero value is ready to use. A Solver is NOT safe for concurrent use;
 // give each goroutine its own (the simulator's worker pool does).
 type Solver struct {
-	tab    []uint64 // basis rows plus one spare slot, row-major
-	colRow []int32  // pivot column -> tab row index, or -1
+	// buf is the tableau, row-major: the incremental basis (pivot rows
+	// plus one spare slot) or the dense tableau (every loaded equation).
+	buf    []uint64
+	colRow []int32 // pivot column -> buf row index, or -1
 	cols   int
 	stride int // words per tableau row, including the trailing RHS word
 
-	dense []uint64 // m4ri tableau: every equation, row-major
-	table []uint64 // m4ri combination table: 2^m4riStripe rows
+	table []uint64 // m4ri combination tables: m4riTableRows rows
 
 	// force pins the elimination path for tests and benchmarks:
 	// forceAuto (zero value) applies the size cutover.
@@ -64,21 +72,35 @@ const (
 // cols+m4riSlack equations, however many rows the shape has. A SolveInto
 // of a taller dense system loads every equation and grows the scratch
 // once, on its first solve, as an unreserved shape does.
+func (s *Solver) Reserve(rows, cols int) {
+	s.reserve(rows, cols, cols+m4riSlack)
+}
+
+// ReservePair is Reserve for SolvePairConsistentInto calls whose row
+// groups hold at most rows equations together: a pair tableau loads up to
+// cols+m4riSlack equations per side. It covers Reserve(rows, cols) too.
+func (s *Solver) ReservePair(rows, cols int) {
+	s.reserve(rows, cols, 2*(cols+m4riSlack))
+}
+
+// reserve grows the shared tableau for the larger of the incremental
+// basis and a dense tableau of at most denseRows loaded equations.
 //
 //bicoop:allow noalloc — scratch grower: allocates here so solves never do
-func (s *Solver) Reserve(rows, cols int) {
-	basis := rows
-	if cols < basis {
-		basis = cols
+func (s *Solver) reserve(rows, cols, denseRows int) {
+	stride := wordsFor(cols) + 1
+	need := (min(rows, cols) + 1) * stride
+	if cols >= m4riMinCols && rows >= cols {
+		need = max(need, min(rows, denseRows)*stride)
+		if cap(s.table) < m4riTableRows*stride {
+			s.table = make([]uint64, 0, m4riTableRows*stride)
+		}
 	}
-	if need := (basis + 1) * (wordsFor(cols) + 1); cap(s.tab) < need {
-		s.tab = make([]uint64, 0, need)
+	if cap(s.buf) < need {
+		s.buf = make([]uint64, 0, need)
 	}
 	if cap(s.colRow) < cols {
 		s.colRow = make([]int32, 0, cols)
-	}
-	if cols >= m4riMinCols && rows >= cols {
-		s.reserveDense(min(rows, cols+m4riSlack), cols)
 	}
 }
 
@@ -94,10 +116,10 @@ func (s *Solver) begin(nrows, cols int) {
 		basis = cols
 	}
 	need := (basis + 1) * s.stride
-	if cap(s.tab) < need {
-		s.tab = make([]uint64, need)
+	if cap(s.buf) < need {
+		s.buf = make([]uint64, need)
 	} else {
-		s.tab = s.tab[:need]
+		s.buf = s.buf[:need]
 	}
 	if cap(s.colRow) < cols {
 		s.colRow = make([]int32, cols)
@@ -114,7 +136,7 @@ func (s *Solver) begin(nrows, cols int) {
 //
 //bicoop:noalloc
 func (s *Solver) loadSpare(rank int, words []uint64, rhs uint64) []uint64 {
-	t := s.tab[rank*s.stride : (rank+1)*s.stride]
+	t := s.buf[rank*s.stride : (rank+1)*s.stride]
 	wpr := s.stride - 1
 	copy(t[:wpr], words)
 	for w := len(words); w < wpr; w++ {
@@ -145,7 +167,7 @@ func (s *Solver) reduce(cur []uint64) (lead int, zero bool) {
 		// XOR the pivot row in; its leading column is c, so words before w
 		// cannot change, and bit c clears. Bits below c in word w are zero
 		// by the reduction invariant, so the scan never moves backward.
-		piv := s.tab[int(j)*s.stride : (int(j)+1)*s.stride]
+		piv := s.buf[int(j)*s.stride : (int(j)+1)*s.stride]
 		for i := w; i < s.stride; i++ {
 			cur[i] ^= piv[i]
 		}
@@ -155,43 +177,57 @@ func (s *Solver) reduce(cur []uint64) (lead int, zero bool) {
 
 // finishSolve turns the outcome of an elimination into the old Solve
 // semantics (inconsistency takes precedence over underdetermination) and
-// extracts the solution from tab — the incremental basis or the dense
-// tableau — when it is unique.
+// extracts the solution from the tableau — the incremental basis or the
+// dense one — when it is unique.
 //
 //bicoop:noalloc
-func (s *Solver) finishSolve(dst *Vector, tab []uint64, rank int, inconsistent bool) error {
+func (s *Solver) finishSolve(dst *Vector, rank int, inconsistent bool) error {
 	if inconsistent {
 		return ErrInconsistent
 	}
 	if rank < s.cols {
 		return ErrUnderdetermined
 	}
-	s.backSubstitute(dst, tab)
+	s.backSubstitute(dst, 0)
 	return nil
 }
 
-// backSubstitute extracts the unique solution from tab, a full basis or a
-// full-rank dense echelon tableau, into dst. Either way the pivot row of
-// column c is zero before c. Pivot columns are processed in descending
-// order: a pivot row's bits beyond its own column only involve columns
-// whose solution bit is already known, so each step is one word-level dot
-// product from the pivot's word.
+// backSubstitute extracts the unique solution from a full-rank tableau, a
+// full basis or a dense echelon form, into dst. Pivot columns are solved
+// in descending order, those whose pivot row lies at or after row first
+// before the rest. In a solve of one system first is 0 and the pivot row
+// of column c is zero before c. A pair side's own pivot rows (from first
+// on) are zero on the shared pivot columns and echelon among themselves;
+// the shared pivot rows before them are zero on the shared pivot columns
+// before their own but may carry bits on the side's pivot columns, which
+// the first sweep has solved by then. Either way every other column a
+// pivot row touches is solved before its own, and the row is zero on the
+// words before its pivot's, so each step is one word-level dot product
+// from the pivot's word against dst, which is still zero on the columns
+// not yet solved.
 //
 //bicoop:noalloc
-func (s *Solver) backSubstitute(dst *Vector, tab []uint64) {
-	for w := range dst.words {
-		dst.words[w] = 0
-	}
+func (s *Solver) backSubstitute(dst *Vector, first int) {
+	clear(dst.words)
 	wpr := s.stride - 1
-	for c := s.cols - 1; c >= 0; c-- {
-		row := tab[int(s.colRow[c])*s.stride:]
-		acc := row[wpr] & 1 // the equation's RHS bit
-		var x uint64
-		for w := c >> 6; w < wpr; w++ {
-			x ^= row[w] & dst.words[w]
+	for _, own := range [2]bool{true, false} {
+		for c := s.cols - 1; c >= 0; c-- {
+			j := int(s.colRow[c])
+			if (j >= first) != own {
+				continue
+			}
+			row := s.buf[j*s.stride:]
+			acc := row[wpr] & 1 // the equation's RHS bit
+			var x uint64
+			for w := c >> 6; w < wpr; w++ {
+				x ^= row[w] & dst.words[w]
+			}
+			acc ^= uint64(bits.OnesCount64(x) & 1)
+			dst.words[c>>6] |= acc << uint(c&63)
 		}
-		acc ^= uint64(bits.OnesCount64(x) & 1)
-		dst.words[c>>6] |= acc << uint(c&63)
+		if first == 0 {
+			break
+		}
 	}
 }
 
@@ -224,6 +260,25 @@ func (s *Solver) SolveConsistentInto(dst *Vector, k int, rows []Vector, bits []i
 //
 //bicoop:noalloc
 func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consistent bool) error {
+	if err := checkSystem(dst, k, rows, bits); err != nil {
+		return err
+	}
+	if consistent && len(rows) < k {
+		// rank ≤ len(rows) < k, and consistent mode never reports
+		// ErrInconsistent: the outcome is known without eliminating.
+		return ErrUnderdetermined
+	}
+	if s.useDense(len(rows), k) {
+		return s.solveRowsDense(dst, k, rows, bits, consistent)
+	}
+	return s.solveRowsIncremental(dst, k, rows, bits, consistent)
+}
+
+// checkSystem validates the shape of a system of len(rows) equations over
+// k unknowns to be solved into dst.
+//
+//bicoop:noalloc
+func checkSystem(dst *Vector, k int, rows []Vector, bits []int) error {
 	if len(rows) != len(bits) {
 		return fmt.Errorf("%w: %d rows, %d bits", ErrShape, len(rows), len(bits))
 	}
@@ -235,15 +290,34 @@ func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consis
 			return fmt.Errorf("%w: row %d has %d bits, want %d", ErrShape, i, row.n, k)
 		}
 	}
-	if consistent && len(rows) < k {
-		// rank ≤ len(rows) < k, and consistent mode never reports
-		// ErrInconsistent: the outcome is known without eliminating.
-		return ErrUnderdetermined
+	return nil
+}
+
+// SolvePairConsistentInto decodes two consistent systems over the same k
+// unknowns that share equations — two receivers of one broadcast, each
+// behind its own erasures — into dstA and dstB. The equations are laid out
+// as onlyA ++ shared ++ onlyB, with na equations in the first group and nb
+// in the last: system A is rows[:len(rows)-nb] and system B is rows[na:].
+// Each side's result is exactly what SolveConsistentInto returns for its
+// own equations (the same solution, the same error, dst untouched unless
+// solved), but on the dense path the shared equations are eliminated
+// once: a first pass takes its pivots from the shared equations alone,
+// reducing both sides' own equations with the same tables, and each side
+// then finishes with its own. A side with fewer than k equations, or a
+// pair below the dense cutover, is solved by SolveConsistentInto per side.
+// Invalid group sizes return ErrShape for both sides.
+func (s *Solver) SolvePairConsistentInto(dstA, dstB *Vector, k int, rows []Vector, bits []int, na, nb int) (errA, errB error) {
+	if na < 0 || nb < 0 || na+nb > len(rows) || len(rows) != len(bits) {
+		return fmt.Errorf("%w: groups of %d and %d in %d rows, %d bits", ErrShape, na, nb, len(rows), len(bits)),
+			fmt.Errorf("%w: groups of %d and %d in %d rows, %d bits", ErrShape, na, nb, len(rows), len(bits))
 	}
-	if s.useDense(len(rows), k) {
-		return s.solveRowsDense(dst, k, rows, bits, consistent)
+	end := len(rows) - nb
+	rowsA, bitsA, rowsB, bitsB := rows[:end], bits[:end], rows[na:], bits[na:]
+	if checkSystem(dstA, k, rowsA, bitsA) != nil || checkSystem(dstB, k, rowsB, bitsB) != nil ||
+		len(rowsA) < k || len(rowsB) < k || !s.useDense(min(len(rowsA), len(rowsB)), k) {
+		return s.SolveConsistentInto(dstA, k, rowsA, bitsA), s.SolveConsistentInto(dstB, k, rowsB, bitsB)
 	}
-	return s.solveRowsIncremental(dst, k, rows, bits, consistent)
+	return s.solvePairDense(dstA, dstB, k, rows, bits, na, nb)
 }
 
 // useDense applies the multi-column cutover: wide systems with at least as
@@ -281,7 +355,7 @@ func (s *Solver) solveRowsIncremental(dst *Vector, k int, rows []Vector, bits []
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, s.tab, rank, inconsistent)
+	return s.finishSolve(dst, rank, inconsistent)
 }
 
 // SolveMatrixInto solves m·x = b into dst without cloning m; dst must have
@@ -306,7 +380,7 @@ func (s *Solver) SolveMatrixInto(dst *Vector, m Matrix, b Vector) error {
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, s.tab, rank, inconsistent)
+	return s.finishSolve(dst, rank, inconsistent)
 }
 
 // Rank computes the GF(2) rank of m in the scratch tableau, leaving m

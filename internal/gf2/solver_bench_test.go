@@ -84,3 +84,77 @@ func BenchmarkSolveM4RI1336(b *testing.B)        { benchSolve(b, 1336, 1485, for
 func BenchmarkSolveIncremental1483(b *testing.B) { benchSolve(b, 1483, 1649, forceIncremental) }
 func BenchmarkSolveM4RI1483(b *testing.B)        { benchSolve(b, 1483, 1649, forceDense) }
 func BenchmarkSolveShort489(b *testing.B)        { benchSolve(b, 489, 445, forceAuto) }
+
+// pairSystem draws the n=4000 MABC broadcast as its two terminals see it:
+// one n-row random code over k unknowns with a planted message, survival
+// probabilities pa and pb on the two links, each terminal keeping the first
+// k+m4riSlack surviving rows in index order. It returns the rows laid out as
+// onlyA ++ shared ++ onlyB with the group sizes na and nb, so terminal a's
+// equations are rows[:len(rows)-nb] and terminal b's rows[na:].
+func pairSystem(r *rand.Rand, n, k int, pa, pb float64) (rows []Vector, bits []int, na, nb int, x Vector) {
+	g := RandomMatrix(n, k, r)
+	x = RandomVector(k, r)
+	rhs, _ := g.MulVec(x)
+	var onlyA, shared, onlyB []int
+	inA, inB := 0, 0
+	for i := 0; i < n; i++ {
+		a := inA < k+m4riSlack && r.Float64() < pa
+		b := inB < k+m4riSlack && r.Float64() < pb
+		switch {
+		case a && b:
+			shared = append(shared, i)
+		case a:
+			onlyA = append(onlyA, i)
+		case b:
+			onlyB = append(onlyB, i)
+		}
+		if a {
+			inA++
+		}
+		if b {
+			inB++
+		}
+	}
+	for _, group := range [][]int{onlyA, shared, onlyB} {
+		for _, i := range group {
+			rows = append(rows, g.RowView(i))
+			bits = append(bits, rhs.Bit(i))
+		}
+	}
+	return rows, bits, len(onlyA), len(onlyB), x
+}
+
+// benchSolvePair measures the two terminal decodes of pairSystem's n=4000
+// shape (k=1483 from a 1939-row code, survival 0.85 and 0.9): one
+// SolvePairConsistentInto call, or, with separate set, one
+// SolveConsistentInto call per terminal.
+func benchSolvePair(b *testing.B, separate bool) {
+	const n, k = 1939, 1483
+	rows, bits, na, nb, x := pairSystem(rand.New(rand.NewSource(k)), n, k, 0.85, 0.9)
+	var s Solver
+	dstA, dstB := NewVector(k), NewVector(k)
+	solve := func() {
+		var errA, errB error
+		if separate {
+			errA = s.SolveConsistentInto(&dstA, k, rows[:len(rows)-nb], bits[:len(rows)-nb])
+			errB = s.SolveConsistentInto(&dstB, k, rows[na:], bits[na:])
+		} else {
+			errA, errB = s.SolvePairConsistentInto(&dstA, &dstB, k, rows, bits, na, nb)
+		}
+		if errA != nil || errB != nil {
+			b.Fatalf("pair decode: errors %v, %v", errA, errB)
+		}
+	}
+	solve()
+	if !dstA.Equal(x) || !dstB.Equal(x) {
+		b.Fatal("solver returned a wrong solution")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+}
+
+func BenchmarkSolvePair1483(b *testing.B)         { benchSolvePair(b, false) }
+func BenchmarkSolvePairSeparate1483(b *testing.B) { benchSolvePair(b, true) }

@@ -259,24 +259,34 @@ func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts Region
 	return AssembleRegion(swept, raMax.Rates.Ra, rbMax.Rates.Rb), nil
 }
 
+// CheckDurations reports ErrBadDurations unless durations is a valid
+// split of a block into phases phases: one finite entry per phase, none
+// below -1e-12, summing to 1 within 1e-9.
+func CheckDurations(durations []float64, phases int) error {
+	if len(durations) != phases {
+		return fmt.Errorf("%w: %d durations for %d phases", ErrBadDurations, len(durations), phases)
+	}
+	var sum float64
+	for _, d := range durations {
+		if math.IsNaN(d) || math.IsInf(d, 0) || d < -1e-12 {
+			return fmt.Errorf("%w: duration %g", ErrBadDurations, d)
+		}
+		sum += d
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return fmt.Errorf("%w: durations sum to %g", ErrBadDurations, sum)
+	}
+	return nil
+}
+
 // FixedDurationRegion computes the rate region when the phase durations are
 // pinned rather than optimized: each constraint's right-hand side becomes a
 // constant and the region is a direct half-plane intersection. This is used
 // by the Δ-ablation experiment and by cross-validation tests (the optimized
 // region must contain every fixed-Δ region and equal their union's hull).
 func (s Spec) FixedDurationRegion(durations []float64) (region.Polygon, error) {
-	if len(durations) != s.Phases {
-		return region.Polygon{}, fmt.Errorf("%w: %d durations for %d phases", ErrBadDurations, len(durations), s.Phases)
-	}
-	var sum float64
-	for _, d := range durations {
-		if d < -1e-12 {
-			return region.Polygon{}, fmt.Errorf("%w: negative duration %g", ErrBadDurations, d)
-		}
-		sum += d
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return region.Polygon{}, fmt.Errorf("%w: durations sum to %g", ErrBadDurations, sum)
+	if err := CheckDurations(durations, s.Phases); err != nil {
+		return region.Polygon{}, err
 	}
 	hs := make([]region.HalfPlane, 0, len(s.Cons))
 	for _, con := range s.Cons {

@@ -145,9 +145,8 @@ func deriveTDBCParams(cfg BitTrueConfig) (tdbcParams, []float64, error) {
 		if err != nil {
 			return tdbcParams{}, nil, fmt.Errorf("%w: %w", ErrInfeasibleRates, err)
 		}
-	}
-	if len(durations) != 3 {
-		return tdbcParams{}, nil, fmt.Errorf("sim: TDBC needs 3 durations, got %d", len(durations))
+	} else if err := protocols.CheckDurations(durations, 3); err != nil {
+		return tdbcParams{}, nil, fmt.Errorf("sim: TDBC: %w", err)
 	}
 
 	n := cfg.BlockLength

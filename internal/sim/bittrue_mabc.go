@@ -11,6 +11,7 @@ import (
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/prob"
+	"bicoop/internal/protocols"
 	"bicoop/internal/stats"
 )
 
@@ -118,9 +119,8 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 	durations := cfg.Durations
 	if durations == nil {
 		_, durations = MABCComputeForwardBound(cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB)
-	}
-	if len(durations) != 2 {
-		return MABCBitTrueResult{}, fmt.Errorf("sim: MABC needs 2 durations, got %d", len(durations))
+	} else if err := protocols.CheckDurations(durations, 2); err != nil {
+		return MABCBitTrueResult{}, fmt.Errorf("sim: MABC: %w", err)
 	}
 	n := cfg.BlockLength
 	n1 := int(math.Round(durations[0] * float64(n)))
@@ -181,10 +181,11 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 
 // mabcWorker owns one goroutine's share of the compute-and-forward Monte
 // Carlo: a seed-derived RNG, two preallocated generators re-randomized in
-// place per block, message/codeword buffers, a pre-reserved gf2.Solver, and
-// the equation accumulators. Rows are shared generator views (RowView):
-// read-only here, consumed in place by the solver. Steady-state blocks
-// perform no heap allocation (gated by TestBitTrueMABCBlockZeroAllocs).
+// place per block, message/codeword buffers, the broadcast erasure masks, a
+// pre-reserved gf2.Solver, and the equation accumulators. Rows are shared
+// generator views (RowView): read-only here, consumed in place by the
+// solver. Steady-state blocks perform no heap allocation (gated by
+// TestBitTrueMABCBlockZeroAllocs).
 type mabcWorker struct {
 	k, n1, n2 int
 	rng       *rand.Rand
@@ -198,6 +199,10 @@ type mabcWorker struct {
 	xs, xr           gf2.Vector
 	sHat, sAtA, sAtB gf2.Vector
 	solver           gf2.Solver
+
+	// eraseA, eraseB hold the broadcast erasure masks of the r-a and r-b
+	// links, 64 positions per word.
+	eraseA, eraseB []uint64
 
 	rows []gf2.Vector
 	bits []int
@@ -227,10 +232,15 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 		sHat:    gf2.NewVector(k),
 		sAtA:    gf2.NewVector(k),
 		sAtB:    gf2.NewVector(k),
+		eraseA:  make([]uint64, (n2+63)/64),
+		eraseB:  make([]uint64, (n2+63)/64),
 		rows:    make([]gf2.Vector, 0, maxN),
 		bits:    make([]int, 0, maxN),
 	}
-	w.solver.Reserve(maxN, k)
+	// The pair tableau is the larger scratch; reserving it first grows the
+	// shared buffer once.
+	w.solver.ReservePair(n2, k)
+	w.solver.Reserve(n1, k)
 	return w
 }
 
@@ -281,12 +291,25 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 
 	// Phase 2 (broadcast): the relay re-encodes the XOR with a fresh code;
 	// each terminal decodes it through its own link's erasures and strips
-	// its own message.
+	// its own message. Both terminals receive the same codeword, so the
+	// positions that survive both links give them shared equations, which
+	// the pair decode eliminates once.
 	w.codeBC.Rerandomize(w.rng)
 	_ = w.codeBC.EncodeInto(&w.xr, w.sHat)
-	okA := w.decodeBroadcast(&w.sAtA, w.maskRA)
-	okB := w.decodeBroadcast(&w.sAtB, w.maskRB)
-	if !okA || !okB {
+	for j := range w.eraseA {
+		w.eraseA[j] = w.maskRA.Mask(w.rng)
+	}
+	for j := range w.eraseB {
+		w.eraseB[j] = w.maskRB.Mask(w.rng)
+	}
+	w.rows, w.bits = w.rows[:0], w.bits[:0]
+	w.appendBroadcast(true, false)
+	na := len(w.rows)
+	w.appendBroadcast(true, true)
+	shared := len(w.rows)
+	w.appendBroadcast(false, true)
+	errA, errB := w.solver.SolvePairConsistentInto(&w.sAtA, &w.sAtB, w.k, w.rows, w.bits, na, len(w.rows)-shared)
+	if errA != nil || errB != nil {
 		return false, true
 	}
 	_ = w.sAtA.XorWith(w.wa) // terminal a strips wa, leaving its estimate of wb
@@ -294,19 +317,24 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	return w.sAtA.Equal(w.wb) && w.sAtB.Equal(w.wa), true
 }
 
-// decodeBroadcast receives the relay broadcast through a link whose erasures
-// are drawn by mask and decodes it into dst.
+// appendBroadcast appends the broadcast equations at the positions whose
+// r-a link survival is atA and whose r-b link survival is atB.
 //
 //bicoop:noalloc
-func (w *mabcWorker) decodeBroadcast(dst *gf2.Vector, mask prob.WordBernoulli) bool {
-	w.rows, w.bits = w.rows[:0], w.bits[:0]
-	for base := 0; base < w.n2; base += 64 {
-		surv := ^mask.Mask(w.rng) & liveLanes(base, w.n2)
-		for m := surv; m != 0; m &= m - 1 {
+func (w *mabcWorker) appendBroadcast(atA, atB bool) {
+	for j := range w.eraseA {
+		base := j * 64
+		a, b := w.eraseA[j], w.eraseB[j]
+		if atA {
+			a = ^a
+		}
+		if atB {
+			b = ^b
+		}
+		for m := a & b & liveLanes(base, w.n2); m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
 			w.rows = append(w.rows, w.codeBC.G.RowView(i))
 			w.bits = append(w.bits, w.xr.Bit(i))
 		}
 	}
-	return w.solver.SolveConsistentInto(dst, w.k, w.rows, w.bits) == nil
 }

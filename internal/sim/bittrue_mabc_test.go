@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
+	"bicoop/internal/protocols"
 	"bicoop/internal/xmath"
 )
 
@@ -171,5 +173,33 @@ func TestBitTrueMABCSharedGeneratorLinearity(t *testing.T) {
 	}
 	if res.SuccessProb < 0.9 {
 		t.Errorf("success %v below expectation at 80%% of bound", res.SuccessProb)
+	}
+}
+
+// TestBitTrueRejectsBadDurations pins the simulators' own duration check
+// (the rule protocols.CheckDurations applies): negative, out-of-range,
+// non-finite and miscounted durations fail with ErrBadDurations instead of
+// panicking on a negative phase length or running with a block longer
+// than BlockLength.
+func TestBitTrueRejectsBadDurations(t *testing.T) {
+	nan := math.NaN()
+	for _, d := range [][]float64{{-0.2, 1.2}, {1.5, -0.5}, {0.6, 0.6}, {nan, 1}, {1}} {
+		_, err := RunBitTrueMABC(context.Background(), MABCBitTrueConfig{
+			EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1, Rate: 0.2, Durations: d,
+			BlockLength: 200, Trials: 2, Seed: 1, Workers: 1,
+		})
+		if !errors.Is(err, protocols.ErrBadDurations) {
+			t.Errorf("MABC durations %v: err %v, want ErrBadDurations", d, err)
+		}
+	}
+	for _, d := range [][]float64{{-0.2, 0.6, 0.6}, {0.7, 0.7, -0.4}, {0.5, nan, 0.5}, {0.5, 0.5, math.Inf(1)}, {0.5, 0.5}} {
+		_, err := RunBitTrueTDBC(context.Background(), BitTrueConfig{
+			Net:   ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+			Rates: protocols.RatePair{Ra: 0.2, Rb: 0.2}, Durations: d,
+			BlockLength: 200, Trials: 2, Seed: 1, Workers: 1,
+		})
+		if !errors.Is(err, protocols.ErrBadDurations) {
+			t.Errorf("TDBC durations %v: err %v, want ErrBadDurations", d, err)
+		}
 	}
 }

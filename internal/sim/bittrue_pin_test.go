@@ -94,3 +94,47 @@ func TestBitTrueOutcomesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestBitTrueMABCAsymmetricPinned hard-codes seeded MABC runs whose
+// broadcast links differ: the relay always decodes (short MAC erasure,
+// half the block), one terminal's link leaves about as many equations as
+// unknowns and fails in a share of the blocks, and the other's is clean
+// enough that it always decodes. Both orientations run at n=1200 (k=396)
+// and n=4000 (k=1320), for Workers 1 and 2, so a decode outcome that
+// depends on which terminal owns the shared broadcast equations fails
+// here. The counts were recorded while each terminal still decoded the
+// broadcast on its own.
+func TestBitTrueMABCAsymmetricPinned(t *testing.T) {
+	cases := []struct {
+		epsRA, epsRB float64
+		n, trials    int
+		want         [2]pinnedCounts // Workers 1, Workers 2
+	}{
+		{0.34, 0.02, 1200, 24, [2]pinnedCounts{{15, 0, 9}, {13, 0, 11}}},
+		{0.02, 0.34, 1200, 24, [2]pinnedCounts{{11, 0, 13}, {15, 0, 9}}},
+		{0.335, 0.02, 4000, 8, [2]pinnedCounts{{5, 0, 3}, {4, 0, 4}}},
+		{0.02, 0.335, 4000, 8, [2]pinnedCounts{{5, 0, 3}, {6, 0, 2}}},
+	}
+	for _, c := range cases {
+		for wi, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("ra%.3f/rb%.3f/n%d/workers%d", c.epsRA, c.epsRB, c.n, workers), func(t *testing.T) {
+				res, err := RunBitTrueMABC(context.Background(), MABCBitTrueConfig{
+					EpsMAC: 0.05, EpsRA: c.epsRA, EpsRB: c.epsRB,
+					Rate:        0.33,
+					Durations:   []float64{0.5, 0.5},
+					BlockLength: c.n,
+					Trials:      c.trials,
+					Seed:        14,
+					Workers:     workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := pinnedCounts{res.Trials - res.RelayFailures - res.TerminalFailures, res.RelayFailures, res.TerminalFailures}
+				if got != c.want[wi] {
+					t.Errorf("(successes, relay failures, terminal failures) = %+v, want %+v", got, c.want[wi])
+				}
+			})
+		}
+	}
+}

@@ -25,7 +25,9 @@
 # BenchmarkSolve{M4RI,Incremental}{320,400,445,1068,1336,1483} elimination
 # ladder plus BenchmarkSolveShort489, the consistent-mode shapes the bit-true
 # waterfall issues, with the M4RI-vs-incremental speedup at k=445 gated in
-# CI), and the LP warm-start pair (BenchmarkSimplexSolveCold vs ...Warm: the
+# CI, and the MABC terminal pair BenchmarkSolvePair1483 vs
+# ...PairSeparate1483 — both n=4000 terminal decodes in one shared
+# elimination vs one solve each, gated ≥1.5x in CI), and the LP warm-start pair (BenchmarkSimplexSolveCold vs ...Warm: the
 # HBC sum-rate LP along a 201-point power axis, cold vs hinted by the
 # previous basis — CI requires the verified warm start ≥1.5x over cold).
 # The bit-true full-run benchmarks already iterate 64 blocks
@@ -43,7 +45,7 @@ cd "$(dirname "$0")/.."
 # ledger packages must either appear here or be explicitly exempted there — a new
 # benchmark cannot be dropped from the ledger silently.
 pattern='BenchmarkSimplexSolve$|BenchmarkSimplexSolveCold$|BenchmarkSimplexSolveWarm$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkOneShotSumRateBatch$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
-bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrueMABC$|BenchmarkBitTrueMABCParallel$|BenchmarkSolveIncremental320$|BenchmarkSolveM4RI320$|BenchmarkSolveIncremental400$|BenchmarkSolveM4RI400$|BenchmarkSolveIncremental445$|BenchmarkSolveM4RI445$|BenchmarkSolveIncremental1068$|BenchmarkSolveM4RI1068$|BenchmarkSolveIncremental1336$|BenchmarkSolveM4RI1336$|BenchmarkSolveIncremental1483$|BenchmarkSolveM4RI1483$|BenchmarkSolveShort489$'
+bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrueMABC$|BenchmarkBitTrueMABCParallel$|BenchmarkSolveIncremental320$|BenchmarkSolveM4RI320$|BenchmarkSolveIncremental400$|BenchmarkSolveM4RI400$|BenchmarkSolveIncremental445$|BenchmarkSolveM4RI445$|BenchmarkSolveIncremental1068$|BenchmarkSolveM4RI1068$|BenchmarkSolveIncremental1336$|BenchmarkSolveM4RI1336$|BenchmarkSolveIncremental1483$|BenchmarkSolveM4RI1483$|BenchmarkSolveShort489$|BenchmarkSolvePair1483$|BenchmarkSolvePairSeparate1483$'
 
 # The bench runs land in a temp file first, NOT straight into the benchjson
 # pipeline: this is POSIX sh (no pipefail), so a failing `go test -bench`

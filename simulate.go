@@ -142,10 +142,28 @@ func (spec SimSpec) validate() error {
 		}
 	case spec.BitTrueTDBC != nil:
 		ts := spec.BitTrueTDBC
-		return validateBitTrueCommon(spec.Trials, ts.BlockLength, ts.Rates.Ra, ts.Rates.Rb)
+		if err := validateBitTrueCommon(spec.Trials, ts.BlockLength, ts.Rates.Ra, ts.Rates.Rb); err != nil {
+			return err
+		}
+		return validateDurations(ts.Durations, 3)
 	default:
 		ms := spec.BitTrueMABC
-		return validateBitTrueCommon(spec.Trials, ms.BlockLength, ms.Rate)
+		if err := validateBitTrueCommon(spec.Trials, ms.BlockLength, ms.Rate); err != nil {
+			return err
+		}
+		return validateDurations(ms.Durations, 2)
+	}
+	return nil
+}
+
+// validateDurations checks a bit-true spec's pinned phase durations, when
+// set, by the rule the rate regions apply (protocols.CheckDurations).
+func validateDurations(durations []float64, phases int) error {
+	if durations == nil {
+		return nil
+	}
+	if err := protocols.CheckDurations(durations, phases); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSimSpec, err)
 	}
 	return nil
 }
