@@ -42,16 +42,11 @@ bench-baseline:
 	./scripts/bench.sh BENCH_baseline.json
 
 # bench-compare is the local perf gate: a short ledger run compared against
-# the committed BENCH_after.json (same command CI's bench-gate job runs,
+# the committed BENCH_after.json (same gate script CI's bench-gate job runs,
 # with the stricter same-machine threshold).
 bench-compare:
 	./scripts/bench.sh BENCH_ci.json 50x 3x
-	go run ./cmd/benchjson compare BENCH_after.json BENCH_ci.json -threshold 1.25 \
-		-min-speedup 'BenchmarkSumRateBatchCachedMiss/BenchmarkSumRateBatchCachedHit:5' \
-		-min-speedup 'BenchmarkErasureMaskScalar/BenchmarkErasureMaskWord:3' \
-		-min-speedup 'BenchmarkSolveIncremental445/BenchmarkSolveM4RI445:1.5' \
-		-min-speedup 'BenchmarkSolvePairSeparate1483/BenchmarkSolvePair1483:1.5' \
-		-min-speedup 'BenchmarkSimplexSolveCold/BenchmarkSimplexSolveWarm:1.5'
+	./scripts/bench_compare.sh BENCH_after.json BENCH_ci.json 1.25
 
 # bccd builds the crash-safe job daemon (see doc.go "Running bccd").
 bccd:

@@ -34,7 +34,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// --- One benchmark per paper artifact (see DESIGN.md experiment index). ---
+// --- One benchmark per paper artifact (the experiment registry, `bcc list`). ---
 
 // BenchmarkFig3 regenerates Fig 3: sum rates vs relay placement.
 func BenchmarkFig3(b *testing.B) { benchExperiment(b, "fig3") }
@@ -57,16 +57,17 @@ func BenchmarkClaimHBCStrict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := bicoop.NewEngine()
 	for i := 0; i < b.N; i++ {
-		hbc, err := bicoop.OptimalSumRate(bicoop.HBC, bicoop.Inner, s)
+		hbc, err := eng.SumRate(bicoop.HBC, bicoop.Inner, s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mabc, err := bicoop.OptimalSumRate(bicoop.MABC, bicoop.Inner, s)
+		mabc, err := eng.SumRate(bicoop.MABC, bicoop.Inner, s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tdbc, err := bicoop.OptimalSumRate(bicoop.TDBC, bicoop.Inner, s)
+		tdbc, err := eng.SumRate(bicoop.TDBC, bicoop.Inner, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,9 +103,10 @@ func BenchmarkBlahutArimoto(b *testing.B) { benchExperiment(b, "blahut") }
 // BenchmarkAllExperimentsRendered runs the registry end to end including
 // ASCII rendering — the full `bcc all -quick` path.
 func BenchmarkAllExperimentsRendered(b *testing.B) {
+	eng := bicoop.NewEngine()
 	for i := 0; i < b.N; i++ {
 		for _, id := range bicoop.Experiments() {
-			if err := bicoop.RunExperiment(context.Background(), id, true, 1, io.Discard); err != nil {
+			if err := eng.RunExperiment(context.Background(), id, true, 1, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -120,9 +122,10 @@ func fig4Scenario(pdb float64) protocols.Scenario {
 // BenchmarkSumRateLP measures one HBC sum-rate LP (compile + solve).
 func BenchmarkSumRateLP(b *testing.B) {
 	s := fig4Scenario(10)
+	ev := protocols.NewEvaluator()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := protocols.OptimalSumRate(protocols.HBC, protocols.BoundInner, s); err != nil {
+		if _, err := ev.WeightedRate(protocols.HBC, protocols.BoundInner, s, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +280,7 @@ func BenchmarkBitsimMABC(b *testing.B) { benchExperiment(b, "bitsim-mabc") }
 // BenchmarkBER runs the symbol-level BER validation sweep.
 func BenchmarkBER(b *testing.B) { benchExperiment(b, "ber") }
 
-// --- Engine batch vs legacy one-shot facade. ---
+// --- Engine batch vs one SumRate call per scenario. ---
 
 // batchScenarios builds the 1000-point power × gain grid both batch
 // benchmarks evaluate, mirroring a Fig 3 style bulk query — the same grid
@@ -458,18 +461,19 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 }
 
-// BenchmarkOneShotSumRateBatch evaluates the same 1k-scenario grid through
-// the legacy one-shot facade — one OptimalSumRate call per scenario,
-// results collected exactly as SumRateBatch returns them. This is the
-// baseline Engine.SumRateBatch is measured against.
+// BenchmarkOneShotSumRateBatch evaluates the same 1k-scenario grid one
+// Engine.SumRate call per scenario, results collected exactly as
+// SumRateBatch returns them. This is the baseline Engine.SumRateBatch is
+// measured against.
 func BenchmarkOneShotSumRateBatch(b *testing.B) {
 	scenarios := batchScenarios()
+	eng := bicoop.NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := make([]bicoop.SumRateResult, 0, len(scenarios))
 		for _, s := range scenarios {
-			res, err := bicoop.OptimalSumRate(bicoop.HBC, bicoop.Inner, s)
+			res, err := eng.SumRate(bicoop.HBC, bicoop.Inner, s)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,10 +1,8 @@
 package bicoop
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"bicoop/internal/channel"
 	"bicoop/internal/experiments"
@@ -77,8 +75,9 @@ const (
 	// Inner is the achievable region (Theorems 2, 3, 5).
 	Inner Bound = iota + 1
 	// Outer is the converse bound (Theorems 2, 4, 6). For DT, Naive4 and
-	// MABC it coincides with Inner; for HBC the Gaussian evaluation is the
-	// independent-input heuristic the paper leaves open (see DESIGN.md).
+	// MABC it coincides with Inner; for HBC the Gaussian evaluation is an
+	// independent-input heuristic, because Theorem 6's joint input makes the
+	// exact evaluation open (the paper does not plot it).
 	Outer
 )
 
@@ -171,27 +170,10 @@ type SumRateResult struct {
 	Durations []float64
 }
 
-// OptimalSumRate maximizes Ra+Rb over the protocol bound, jointly optimizing
-// phase durations by linear programming (the quantity plotted in Fig 3).
-//
-// It is a one-shot convenience over DefaultEngine().SumRate; workloads
-// evaluating many scenarios should hold an Engine and use SumRateBatch or
-// Sweep instead.
-func OptimalSumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
-	return defaultEngine.SumRate(p, b, s)
-}
-
 // Region is a computed rate region (a convex polygon in the non-negative
 // rate quadrant).
 type Region struct {
 	poly region.Polygon
-}
-
-// RateRegion computes the full rate region of a protocol bound (one curve
-// of Fig 4). It is a one-shot convenience over DefaultEngine().Region with
-// default options; prefer the engine for the Angles/Workers knobs.
-func RateRegion(ctx context.Context, p Protocol, b Bound, s Scenario) (Region, error) {
-	return defaultEngine.Region(ctx, p, b, s, RegionOptions{})
 }
 
 // Vertices returns the polygon's vertices in counter-clockwise order.
@@ -225,14 +207,6 @@ func (r Region) Area() float64 { return r.poly.Area() }
 // is within the region's range.
 func (r Region) MaxRbAt(ra float64) (float64, bool) { return r.poly.RbAt(ra) }
 
-// Feasible reports whether a rate pair is within the protocol bound for
-// some phase-duration split (an exact LP test, independent of region
-// polygon resolution). It is a one-shot convenience over
-// DefaultEngine().Feasible.
-func Feasible(p Protocol, b Bound, s Scenario, pt RatePoint) (bool, error) {
-	return defaultEngine.Feasible(p, b, s, pt)
-}
-
 // HBCBeyondOuterBounds returns achievable HBC operating points that are
 // provably outside BOTH the MABC and TDBC outer bounds at the scenario —
 // the paper's "surprising" Section IV finding. An empty slice means no such
@@ -252,46 +226,12 @@ func HBCBeyondOuterBounds(s Scenario) ([]RatePoint, error) {
 	return out, nil
 }
 
-// FadingConfig parameterizes a Rayleigh block-fading Monte Carlo run.
-type FadingConfig struct {
-	// Scenario gives the mean gains and power.
-	Scenario Scenario
-	// Protocols to simulate; empty defaults to MABC, TDBC, HBC.
-	Protocols []Protocol
-	// Target is the fixed rate pair for outage probability (zero disables).
-	Target RatePoint
-	// Trials is the number of fading blocks (default 2000); negative is
-	// ErrInvalidTrials.
-	Trials int
-	// Seed drives the simulation deterministically.
-	Seed int64
-}
-
 // FadingStats summarizes one protocol's fading performance.
 type FadingStats struct {
 	// MeanOptSumRate is the fading-averaged CSI-adaptive optimal sum rate.
 	MeanOptSumRate float64
 	// OutageProb is the fraction of blocks where Target was infeasible.
 	OutageProb float64
-}
-
-// SimulateFading runs the quasi-static Rayleigh fading Monte Carlo. It is a
-// one-shot convenience over DefaultEngine().Simulate with a FadingSpec;
-// prefer the engine for worker control and progress.
-func SimulateFading(ctx context.Context, cfg FadingConfig) (map[Protocol]FadingStats, error) {
-	res, err := defaultEngine.Simulate(ctx, SimSpec{
-		Fading: &FadingSpec{
-			Scenario:  cfg.Scenario,
-			Protocols: cfg.Protocols,
-			Target:    cfg.Target,
-		},
-		Trials: cfg.Trials,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Fading, nil
 }
 
 // ErasureLinks specifies a three-link erasure network for the bit-true
@@ -330,53 +270,6 @@ func OptimalTDBCErasureRates(links ErasureLinks) (SumRateResult, error) {
 		Point:     RatePoint{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb},
 		Durations: opt.Durations,
 	}, nil
-}
-
-// BitTrueTDBCConfig parameterizes a bit-true TDBC run.
-type BitTrueTDBCConfig struct {
-	// Links is the erasure network.
-	Links ErasureLinks
-	// Rates is the target message rate pair in bits per channel use.
-	Rates RatePoint
-	// Durations optionally pins the three phase durations (summing to 1).
-	// Nil derives them from the Theorem 3 inner bound; rates outside the
-	// bound then return an error. Pin the durations (e.g. from
-	// OptimalTDBCErasureRates) to simulate operating points beyond the
-	// bound and watch decoding actually fail.
-	Durations []float64
-	// BlockLength is the number of channel uses per block.
-	BlockLength int
-	// Trials is the number of independent blocks.
-	Trials int
-	// Seed drives the simulation deterministically (for a fixed Workers).
-	Seed int64
-	// Workers bounds the goroutines sharding the trials; non-positive means
-	// GOMAXPROCS. Results are deterministic per (Seed, Trials, Workers);
-	// changing Workers reshards the per-trial random streams.
-	Workers int
-}
-
-// SimulateBitTrueTDBC runs the TDBC protocol bit by bit over erasure links:
-// random linear codes, overheard side information, XOR network coding at the
-// relay, Gaussian-elimination decoding. Trials are sharded across Workers
-// goroutines. It is a one-shot convenience over DefaultEngine().Simulate
-// with a BitTrueTDBCSpec; prefer the engine for progress reporting.
-func SimulateBitTrueTDBC(ctx context.Context, cfg BitTrueTDBCConfig) (BitTrueResult, error) {
-	res, err := defaultEngine.Simulate(ctx, SimSpec{
-		BitTrueTDBC: &BitTrueTDBCSpec{
-			Links:       cfg.Links,
-			Rates:       cfg.Rates,
-			Durations:   cfg.Durations,
-			BlockLength: cfg.BlockLength,
-		},
-		Trials:  cfg.Trials,
-		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
-	})
-	if err != nil {
-		return BitTrueResult{}, err
-	}
-	return *res.BitTrue, nil
 }
 
 // AmplifyForwardSumRate evaluates the two-phase amplify-and-forward scheme
@@ -447,48 +340,8 @@ func (l MABCComputeForwardLinks) ComputeForwardBound() (rate float64, durations 
 	return sim.MABCComputeForwardBound(l.EpsMAC, l.EpsRA, l.EpsRB)
 }
 
-// BitTrueMABCConfig parameterizes a compute-and-forward MABC run.
-type BitTrueMABCConfig struct {
-	// Links is the MAC/broadcast erasure network.
-	Links MABCComputeForwardLinks
-	// Rate is the common per-terminal message rate in bits per channel use.
-	Rate float64
-	// BlockLength is the number of channel uses per block.
-	BlockLength int
-	// Trials is the number of independent blocks.
-	Trials int
-	// Seed drives the simulation deterministically (for a fixed Workers).
-	Seed int64
-	// Workers bounds the goroutines sharding the trials; non-positive means
-	// GOMAXPROCS. Results are deterministic per (Seed, Trials, Workers).
-	Workers int
-}
-
-// SimulateBitTrueMABC runs the compute-and-forward MABC protocol bit by
-// bit: both terminals transmit parities of their messages over a shared
-// linear code simultaneously, the relay decodes only the XOR
-// (physical-layer network coding) and rebroadcasts it. Trials are sharded
-// across cfg.Workers goroutines. It is a one-shot convenience over
-// DefaultEngine().Simulate with a BitTrueMABCSpec.
-func SimulateBitTrueMABC(ctx context.Context, cfg BitTrueMABCConfig) (BitTrueResult, error) {
-	res, err := defaultEngine.Simulate(ctx, SimSpec{
-		BitTrueMABC: &BitTrueMABCSpec{
-			Links:       cfg.Links,
-			Rate:        cfg.Rate,
-			BlockLength: cfg.BlockLength,
-		},
-		Trials:  cfg.Trials,
-		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
-	})
-	if err != nil {
-		return BitTrueResult{}, err
-	}
-	return *res.BitTrue, nil
-}
-
 // Experiments returns the ids of every registered reproduction experiment
-// (figures, claim checks, ablations; see DESIGN.md).
+// (figures, claim checks, ablations; `bcc list` prints the registry).
 func Experiments() []string { return experiments.IDs() }
 
 // DescribeExperiment returns an experiment's one-line description.
@@ -498,15 +351,4 @@ func DescribeExperiment(id string) (string, error) {
 		return "", fmt.Errorf("bicoop: %w", err)
 	}
 	return d, nil
-}
-
-// RunExperiment executes a reproduction experiment and renders its charts,
-// tables and findings to w. Quick mode reduces resolutions for fast runs.
-// It is a convenience over DefaultEngine().RunExperiment.
-func RunExperiment(ctx context.Context, id string, quick bool, seed int64, w io.Writer) error {
-	return defaultEngine.RunExperiment(ctx, id, quick, seed, w)
-}
-
-func renderResult(res experiments.Result, w io.Writer) error {
-	return res.Render(w)
 }

@@ -48,7 +48,8 @@ func TestProtocolFacade(t *testing.T) {
 }
 
 func TestOptimalSumRateFacade(t *testing.T) {
-	res, err := OptimalSumRate(MABC, Inner, fig4(0))
+	eng := NewEngine()
+	res, err := eng.SumRate(MABC, Inner, fig4(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +67,21 @@ func TestOptimalSumRateFacade(t *testing.T) {
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("durations sum to %v", total)
 	}
-	if _, err := OptimalSumRate(Protocol(99), Inner, fig4(0)); !errors.Is(err, ErrUnknownProtocol) {
+	if _, err := eng.SumRate(Protocol(99), Inner, fig4(0)); !errors.Is(err, ErrUnknownProtocol) {
 		t.Errorf("err = %v, want ErrUnknownProtocol", err)
 	}
-	if _, err := OptimalSumRate(MABC, Bound(99), fig4(0)); !errors.Is(err, ErrUnknownBound) {
+	if _, err := eng.SumRate(MABC, Bound(99), fig4(0)); !errors.Is(err, ErrUnknownBound) {
 		t.Errorf("err = %v, want ErrUnknownBound", err)
 	}
-	if _, err := OptimalSumRate(MABC, Inner, Scenario{PowerDB: math.Inf(1)}); err == nil {
+	if _, err := eng.SumRate(MABC, Inner, Scenario{PowerDB: math.Inf(1)}); err == nil {
 		t.Error("want error for broken scenario")
 	}
 }
 
 func TestRateRegionFacade(t *testing.T) {
-	r, err := RateRegion(context.Background(), TDBC, Inner, fig4(10))
+	eng := NewEngine()
+	ctx := context.Background()
+	r, err := eng.Region(ctx, TDBC, Inner, fig4(10), RegionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,38 +104,39 @@ func TestRateRegionFacade(t *testing.T) {
 	if _, ok := r.MaxRbAt(r.MaxRa() + 1); ok {
 		t.Error("MaxRbAt beyond the region should report false")
 	}
-	if _, err := RateRegion(context.Background(), Protocol(99), Inner, fig4(0)); err == nil {
+	if _, err := eng.Region(ctx, Protocol(99), Inner, fig4(0), RegionOptions{}); err == nil {
 		t.Error("want error for unknown protocol")
 	}
-	if _, err := RateRegion(context.Background(), MABC, Bound(99), fig4(0)); err == nil {
+	if _, err := eng.Region(ctx, MABC, Bound(99), fig4(0), RegionOptions{}); err == nil {
 		t.Error("want error for unknown bound")
 	}
 }
 
 func TestFeasibleFacade(t *testing.T) {
+	eng := NewEngine()
 	s := fig4(10)
-	opt, err := OptimalSumRate(HBC, Inner, s)
+	opt, err := eng.SumRate(HBC, Inner, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Feasible(HBC, Inner, s, opt.Point)
+	ok, err := eng.Feasible(HBC, Inner, s, opt.Point)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("optimal point must be feasible")
 	}
-	ok, err = Feasible(HBC, Inner, s, RatePoint{Ra: opt.Point.Ra * 2, Rb: opt.Point.Rb * 2})
+	ok, err = eng.Feasible(HBC, Inner, s, RatePoint{Ra: opt.Point.Ra * 2, Rb: opt.Point.Rb * 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("doubled point must be infeasible")
 	}
-	if _, err := Feasible(Protocol(99), Inner, s, RatePoint{}); err == nil {
+	if _, err := eng.Feasible(Protocol(99), Inner, s, RatePoint{}); err == nil {
 		t.Error("want error for unknown protocol")
 	}
-	if _, err := Feasible(MABC, Bound(99), s, RatePoint{}); err == nil {
+	if _, err := eng.Feasible(MABC, Bound(99), s, RatePoint{}); err == nil {
 		t.Error("want error for unknown bound")
 	}
 }
@@ -159,6 +163,7 @@ func TestRelayPlacementFacade(t *testing.T) {
 }
 
 func TestHBCBeyondOuterBoundsFacade(t *testing.T) {
+	eng := NewEngine()
 	pts, err := HBCBeyondOuterBounds(fig4(10))
 	if err != nil {
 		t.Fatal(err)
@@ -169,18 +174,18 @@ func TestHBCBeyondOuterBoundsFacade(t *testing.T) {
 	// Every returned point is achievable for HBC and infeasible for both
 	// outer bounds.
 	for _, pt := range pts[:min(len(pts), 5)] {
-		okHBC, err := Feasible(HBC, Inner, fig4(10), pt)
+		okHBC, err := eng.Feasible(HBC, Inner, fig4(10), pt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !okHBC {
 			t.Errorf("escape point %+v not HBC-achievable", pt)
 		}
-		okM, err := Feasible(MABC, Outer, fig4(10), pt)
+		okM, err := eng.Feasible(MABC, Outer, fig4(10), pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		okT, err := Feasible(TDBC, Outer, fig4(10), pt)
+		okT, err := eng.Feasible(TDBC, Outer, fig4(10), pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,15 +196,20 @@ func TestHBCBeyondOuterBoundsFacade(t *testing.T) {
 }
 
 func TestSimulateFadingFacade(t *testing.T) {
-	stats, err := SimulateFading(context.Background(), FadingConfig{
-		Scenario: fig4(5),
-		Target:   RatePoint{Ra: 0.3, Rb: 0.3},
-		Trials:   300,
-		Seed:     42,
+	eng := NewEngine()
+	ctx := context.Background()
+	res, err := eng.Simulate(ctx, SimSpec{
+		Fading: &FadingSpec{Scenario: fig4(5), Target: RatePoint{Ra: 0.3, Rb: 0.3}},
+		Trials: 300,
+		Seed:   42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Trials != 300 {
+		t.Errorf("Trials = %d, want 300", res.Trials)
+	}
+	stats := res.Fading
 	if len(stats) != 3 {
 		t.Fatalf("default protocols: got %d stats", len(stats))
 	}
@@ -214,29 +224,38 @@ func TestSimulateFadingFacade(t *testing.T) {
 	if stats[HBC].MeanOptSumRate < stats[MABC].MeanOptSumRate-1e-9 {
 		t.Error("HBC fading mean below MABC")
 	}
-	if _, err := SimulateFading(context.Background(), FadingConfig{Scenario: fig4(5), Protocols: []Protocol{Protocol(99)}}); err == nil {
-		t.Error("want error for unknown protocol")
+	unknown := SimSpec{Fading: &FadingSpec{Scenario: fig4(5), Protocols: []Protocol{Protocol(99)}}}
+	if _, err := eng.Simulate(ctx, unknown); !errors.Is(err, ErrUnknownProtocol) {
+		t.Errorf("err = %v, want ErrUnknownProtocol", err)
 	}
 }
 
 func TestSimulateBitTrueTDBCFacade(t *testing.T) {
-	res, err := SimulateBitTrueTDBC(context.Background(), BitTrueTDBCConfig{
-		Links:       ErasureLinks{EpsAR: 0.1, EpsBR: 0.1, EpsAB: 0.5},
-		Rates:       RatePoint{Ra: 0.15, Rb: 0.15},
-		BlockLength: 1500,
-		Trials:      10,
-		Seed:        7,
-		Workers:     2, // exercises the facade plumb-through deterministically
+	eng := NewEngine()
+	ctx := context.Background()
+	res, err := eng.Simulate(ctx, SimSpec{
+		BitTrueTDBC: &BitTrueTDBCSpec{
+			Links:       ErasureLinks{EpsAR: 0.1, EpsBR: 0.1, EpsAB: 0.5},
+			Rates:       RatePoint{Ra: 0.15, Rb: 0.15},
+			BlockLength: 1500,
+		},
+		Trials:  10,
+		Seed:    7,
+		Workers: 2, // exercises the facade plumb-through deterministically
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SuccessProb < 0.8 {
-		t.Errorf("success %v, want >= 0.8 for comfortable rates", res.SuccessProb)
+	if res.BitTrue.SuccessProb < 0.8 {
+		t.Errorf("success %v, want >= 0.8 for comfortable rates", res.BitTrue.SuccessProb)
 	}
-	if _, err := SimulateBitTrueTDBC(context.Background(), BitTrueTDBCConfig{
-		Links: ErasureLinks{EpsAR: 2}, Rates: RatePoint{Ra: 0.1, Rb: 0.1},
-		BlockLength: 100, Trials: 2, Seed: 1,
+	if _, err := eng.Simulate(ctx, SimSpec{
+		BitTrueTDBC: &BitTrueTDBCSpec{
+			Links: ErasureLinks{EpsAR: 2}, Rates: RatePoint{Ra: 0.1, Rb: 0.1},
+			BlockLength: 100,
+		},
+		Trials: 2,
+		Seed:   1,
 	}); err == nil {
 		t.Error("want error for invalid links")
 	}
@@ -268,8 +287,9 @@ func TestExperimentFacade(t *testing.T) {
 	if _, err := DescribeExperiment("nope"); err == nil {
 		t.Error("want error for unknown experiment")
 	}
+	eng := NewEngine()
 	var sb strings.Builder
-	if err := RunExperiment(context.Background(), "crossover", true, 1, &sb); err != nil {
+	if err := eng.RunExperiment(context.Background(), "crossover", true, 1, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -278,7 +298,7 @@ func TestExperimentFacade(t *testing.T) {
 			t.Errorf("rendered output missing %q", want)
 		}
 	}
-	if err := RunExperiment(context.Background(), "nope", true, 1, &sb); err == nil {
+	if err := eng.RunExperiment(context.Background(), "nope", true, 1, &sb); err == nil {
 		t.Error("want error for unknown experiment")
 	}
 }
@@ -300,7 +320,7 @@ func TestBaselineFacades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hbc, err := OptimalSumRate(HBC, Inner, s)
+	hbc, err := NewEngine().SumRate(HBC, Inner, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +358,19 @@ func TestComputeForwardMABCFacade(t *testing.T) {
 	if bound <= 0 || len(durations) != 2 {
 		t.Fatalf("bound %v durations %v", bound, durations)
 	}
+	eng := NewEngine()
+	ctx := context.Background()
 	run := func(rate float64) (BitTrueResult, error) {
-		return SimulateBitTrueMABC(context.Background(), BitTrueMABCConfig{
-			Links: links, Rate: rate,
-			BlockLength: 2000, Trials: 12, Seed: 3,
-			Workers: 2, // pinned so results do not depend on GOMAXPROCS
+		res, err := eng.Simulate(ctx, SimSpec{
+			BitTrueMABC: &BitTrueMABCSpec{Links: links, Rate: rate, BlockLength: 2000},
+			Trials:      12,
+			Seed:        3,
+			Workers:     2, // pinned so results do not depend on GOMAXPROCS
 		})
+		if err != nil {
+			return BitTrueResult{}, err
+		}
+		return *res.BitTrue, nil
 	}
 	res, err := run(bound * 0.8)
 	if err != nil {
@@ -359,9 +386,10 @@ func TestComputeForwardMABCFacade(t *testing.T) {
 	if fail.SuccessProb > 0.1 {
 		t.Errorf("success %v at 120%% of the bound, want ~0", fail.SuccessProb)
 	}
-	if _, err := SimulateBitTrueMABC(context.Background(), BitTrueMABCConfig{
-		Links: MABCComputeForwardLinks{EpsMAC: -1},
-		Rate:  0.1, BlockLength: 100, Trials: 2, Seed: 1,
+	if _, err := eng.Simulate(ctx, SimSpec{
+		BitTrueMABC: &BitTrueMABCSpec{Links: MABCComputeForwardLinks{EpsMAC: -1}, Rate: 0.1, BlockLength: 100},
+		Trials:      2,
+		Seed:        1,
 	}); err == nil {
 		t.Error("want error for invalid links")
 	}

@@ -71,19 +71,8 @@
 // ErrInvalidTrials, ErrInvalidBlockLength, ...) so malformed scenarios fail
 // loudly instead of propagating NaNs into results.
 //
-// # One-shot conveniences and migration
-//
-// The historical free functions (OptimalSumRate, RateRegion, Feasible,
-// SimulateFading, SimulateBitTrueTDBC, SimulateBitTrueMABC, RunExperiment)
-// remain and behave as before; they are now thin wrappers over a shared
-// package-level engine (DefaultEngine). Existing code keeps working
-// unchanged. Code that evaluates many scenarios — figure sweeps, parameter
-// studies, services — should migrate to an Engine and the batch/sweep
-// APIs, which amortize evaluator reuse across calls instead of paying pool
-// traffic and result allocation per scenario; code that runs simulations
-// interactively should migrate to Engine.Simulate for context
-// cancellation and progress reporting. The machinery lives under internal/
-// (see DESIGN.md for the system inventory).
+// Every operation is an Engine method, with no package-level duplicate. A
+// process that wants its calls to share evaluators holds one Engine.
 //
 // # Resilience
 //

@@ -3,12 +3,11 @@ package bicoop
 // engine.go — the session-oriented core of the public API. An Engine owns
 // the pooled evaluator machinery (compiled constraint templates keyed by
 // (protocol, bound), reusable simplex workspaces, closed-form fast paths)
-// and the simulator worker-pool defaults, and exposes context-aware batch,
-// sweep and simulation entry points. The package-level one-shot functions in
-// bicoop.go are thin wrappers over a shared default engine; workloads that
-// evaluate many scenarios (grids, Monte Carlo posts, services) should hold
-// an Engine and use the batch APIs, which amortize evaluator reuse across
-// calls instead of paying pool traffic and result allocation per scenario.
+// and the simulator worker-pool defaults, and exposes every paper operation
+// as a method: single evaluations, batches, sweeps, regions, simulations and
+// experiments. A process that wants its calls to share evaluators holds one
+// engine; workloads over many scenarios use the batch APIs, which amortize
+// evaluator reuse across the whole grid.
 
 import (
 	"context"
@@ -83,9 +82,8 @@ func validateRatePoint(pt RatePoint) error {
 // bounds at scale. It owns a pool of protocols.Evaluator (each carrying the
 // compiled-spec caches keyed by (protocol, bound) plus reusable LP
 // workspaces) and the default worker count for the Monte Carlo simulators.
-// All methods are safe for concurrent use from many goroutines; the
-// zero-cost way to share one across a service is a single package-wide
-// instance.
+// All methods are safe for concurrent use from many goroutines, so a
+// service shares one instance across every request.
 type Engine struct {
 	workers int
 	cache   *cache.Store
@@ -153,7 +151,8 @@ func (e *Engine) CacheStats() CacheStats {
 
 // NewEngine returns a ready-to-use engine. Engines are cheap: the heavy
 // state (constraint templates) is shared process-wide, and evaluators are
-// created lazily as concurrency demands.
+// created lazily as concurrency demands. Evaluators are pooled per engine,
+// so callers that want reuse across calls keep one engine.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
 	e.evals.New = func() any { return protocols.NewEvaluator() }
@@ -162,14 +161,6 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	return e
 }
-
-// defaultEngine backs the package-level one-shot convenience functions.
-var defaultEngine = NewEngine()
-
-// DefaultEngine returns the shared engine behind the package-level one-shot
-// functions, for callers that want to mix the two styles without a second
-// evaluator pool.
-func DefaultEngine() *Engine { return defaultEngine }
 
 func (e *Engine) getEval() *protocols.Evaluator   { return e.evals.Get().(*protocols.Evaluator) }
 func (e *Engine) putEval(ev *protocols.Evaluator) { e.evals.Put(ev) }
@@ -181,14 +172,19 @@ type enginePool struct{ e *Engine }
 func (p enginePool) Get() *protocols.Evaluator   { return p.e.getEval() }
 func (p enginePool) Put(ev *protocols.Evaluator) { p.e.putEval(ev) }
 
-// sweepOpts resolves the sharding options for a grid run: an explicit
-// per-run worker count wins, then the engine's WithWorkers default, then
-// GOMAXPROCS (inside internal/sweep).
-func (e *Engine) sweepOpts(workers int) sweep.Options {
-	if workers <= 0 {
-		workers = e.workers
+// resolveWorkers is the engine's one worker-count rule: an explicit
+// per-run value wins, else the WithWorkers default. A result that is still
+// non-positive means GOMAXPROCS, applied by the pool that runs the work.
+func (e *Engine) resolveWorkers(workers int) int {
+	if workers > 0 {
+		return workers
 	}
-	return sweep.Options{Workers: workers, Pool: enginePool{e}, Cache: e.cache}
+	return e.workers
+}
+
+// sweepOpts returns the sharding options for a grid run.
+func (e *Engine) sweepOpts(workers int) sweep.Options {
+	return sweep.Options{Workers: e.resolveWorkers(workers), Pool: enginePool{e}, Cache: e.cache}
 }
 
 // ctxDone returns a non-nil error when ctx has ended. It always satisfies
@@ -334,7 +330,7 @@ func (e *Engine) RunExperiment(ctx context.Context, id string, quick bool, seed 
 	if err != nil {
 		return fmt.Errorf("bicoop: %w", err)
 	}
-	return renderResult(res, w)
+	return res.Render(w)
 }
 
 // RunExperimentArtifacts executes a reproduction experiment and writes its

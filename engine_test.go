@@ -26,8 +26,10 @@ func grid(n int) []bicoop.Scenario {
 	return out
 }
 
+// TestSumRateBatchMatchesOneShot pins the sharded, warm-started batch path
+// against single SumRate calls on a separate engine.
 func TestSumRateBatchMatchesOneShot(t *testing.T) {
-	eng := bicoop.NewEngine()
+	eng, single := bicoop.NewEngine(), bicoop.NewEngine()
 	scenarios := grid(64)
 	for _, p := range bicoop.AllProtocols() {
 		for _, b := range []bicoop.Bound{bicoop.Inner, bicoop.Outer} {
@@ -39,7 +41,7 @@ func TestSumRateBatchMatchesOneShot(t *testing.T) {
 				t.Fatalf("%v %v: got %d results, want %d", p, b, len(batch), len(scenarios))
 			}
 			for i, s := range scenarios {
-				one, err := bicoop.OptimalSumRate(p, b, s)
+				one, err := single.SumRate(p, b, s)
 				if err != nil {
 					t.Fatalf("%v %v scenario %d: %v", p, b, i, err)
 				}
@@ -82,11 +84,6 @@ func TestEngineValidation(t *testing.T) {
 			t.Errorf("Simulate fading err = %v, want ErrInvalidScenario", err)
 		}
 	}
-	// The legacy one-shot wrappers inherit the typed validation.
-	if _, err := bicoop.OptimalSumRate(bicoop.MABC, bicoop.Inner, nanScenario); !errors.Is(err, bicoop.ErrInvalidScenario) {
-		t.Errorf("legacy OptimalSumRate err = %v, want ErrInvalidScenario", err)
-	}
-
 	if _, err := eng.Feasible(bicoop.MABC, bicoop.Inner, good, bicoop.RatePoint{Ra: math.NaN()}); !errors.Is(err, bicoop.ErrInvalidRates) {
 		t.Errorf("Feasible NaN rate err = %v, want ErrInvalidRates", err)
 	}
@@ -127,37 +124,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if err := eng.Sweep(ctx, bicoop.SweepSpec{}, nil); !errors.Is(err, bicoop.ErrInvalidSweepSpec) {
 		t.Errorf("nil yield err = %v, want ErrInvalidSweepSpec", err)
-	}
-}
-
-func TestSimulateMatchesLegacyFacade(t *testing.T) {
-	eng := bicoop.NewEngine()
-	s := bicoop.Scenario{PowerDB: 5, GabDB: -7, GarDB: 0, GbrDB: 5}
-	res, err := eng.Simulate(context.Background(), bicoop.SimSpec{
-		Fading: &bicoop.FadingSpec{Scenario: s, Target: bicoop.RatePoint{Ra: 0.5, Rb: 0.5}},
-		Trials: 300,
-		Seed:   42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := bicoop.SimulateFading(context.Background(), bicoop.FadingConfig{
-		Scenario: s,
-		Target:   bicoop.RatePoint{Ra: 0.5, Rb: 0.5},
-		Trials:   300,
-		Seed:     42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 300 {
-		t.Errorf("Trials = %d, want 300", res.Trials)
-	}
-	for p, st := range legacy {
-		got := res.Fading[p]
-		if got != st {
-			t.Errorf("%v: engine %+v, legacy %+v", p, got, st)
-		}
 	}
 }
 
@@ -314,9 +280,9 @@ func TestSweepGrid(t *testing.T) {
 	if pts[2].Placement.Pos != 0.5 {
 		t.Errorf("third point placement = %v, want 0.5", pts[2].Placement.Pos)
 	}
-	// Gaussian points must match the one-shot facade on the same scenario.
+	// Gaussian points must match a single SumRate call on the same scenario.
 	for _, pt := range pts[:want-1] {
-		one, err := bicoop.OptimalSumRate(pt.Protocol, pt.Bound, pt.Scenario)
+		one, err := eng.SumRate(pt.Protocol, pt.Bound, pt.Scenario)
 		if err != nil {
 			t.Fatal(err)
 		}

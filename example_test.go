@@ -10,10 +10,11 @@ import (
 // The paper's Fig 4 evaluation point: weak direct link, strong relay links.
 var fig4Example = bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
 
-// ExampleOptimalSumRate computes the LP-optimal exchange rate of the MABC
+// ExampleEngine_SumRate computes the LP-optimal exchange rate of the MABC
 // protocol — the quantity Theorem 2 characterizes exactly.
-func ExampleOptimalSumRate() {
-	res, err := bicoop.OptimalSumRate(bicoop.MABC, bicoop.Inner, fig4Example)
+func ExampleEngine_SumRate() {
+	eng := bicoop.NewEngine()
+	res, err := eng.SumRate(bicoop.MABC, bicoop.Inner, fig4Example)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -25,12 +26,13 @@ func ExampleOptimalSumRate() {
 	// phase split: 0.611 MAC, 0.389 broadcast
 }
 
-// ExampleFeasible asks whether a symmetric 1.5 bits/use exchange is within
-// each protocol's achievable region.
-func ExampleFeasible() {
+// ExampleEngine_Feasible asks whether a symmetric 1.5 bits/use exchange is
+// within each protocol's achievable region.
+func ExampleEngine_Feasible() {
+	eng := bicoop.NewEngine()
 	target := bicoop.RatePoint{Ra: 1.5, Rb: 1.5}
 	for _, p := range []bicoop.Protocol{bicoop.DT, bicoop.MABC, bicoop.TDBC, bicoop.HBC} {
-		ok, err := bicoop.Feasible(p, bicoop.Inner, fig4Example, target)
+		ok, err := eng.Feasible(p, bicoop.Inner, fig4Example, target)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

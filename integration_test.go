@@ -146,8 +146,9 @@ func TestEmpiricalMIAgreesWithProtocolTerm(t *testing.T) {
 func TestFacadeAgreesWithInternals(t *testing.T) {
 	pub := bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
 	intl := protocols.NewScenarioDB(10, -7, 0, 5)
+	eng, ev := bicoop.NewEngine(), protocols.NewEvaluator()
 	for _, pp := range bicoop.AllProtocols() {
-		pubRes, err := bicoop.OptimalSumRate(pp, bicoop.Inner, pub)
+		pubRes, err := eng.SumRate(pp, bicoop.Inner, pub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,12 +165,12 @@ func TestFacadeAgreesWithInternals(t *testing.T) {
 		case bicoop.HBC:
 			ip = protocols.HBC
 		}
-		intRes, err := protocols.OptimalSumRate(ip, protocols.BoundInner, intl)
+		intRes, err := ev.WeightedRate(ip, protocols.BoundInner, intl, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !xmath.ApproxEqual(pubRes.Sum, intRes.Sum, 1e-12) {
-			t.Errorf("%v: facade %v vs internal %v", pp, pubRes.Sum, intRes.Sum)
+		if !xmath.ApproxEqual(pubRes.Sum, intRes.Objective, 1e-12) {
+			t.Errorf("%v: facade %v vs internal %v", pp, pubRes.Sum, intRes.Objective)
 		}
 	}
 }

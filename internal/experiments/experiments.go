@@ -1,9 +1,9 @@
 // Package experiments is the reproduction harness: every figure of the
 // paper's evaluation (Figs 3 and 4) and every textual claim around them is a
 // named, parameterized, reproducible experiment, plus the ablations and
-// Monte Carlo extensions listed in DESIGN.md. The cmd/bcc CLI and the
-// module-level benchmarks both drive this registry, so the reported numbers
-// always come from the same code path.
+// Monte Carlo extensions; `bcc list` prints the registry. The cmd/bcc CLI
+// and the module-level benchmarks both drive this registry, so the reported
+// numbers always come from the same code path.
 package experiments
 
 import (

@@ -112,9 +112,9 @@ func HalfDuplexPenalty(p Protocol, s Scenario) (float64, error) {
 	if fd.Sum <= 0 {
 		return 0, fmt.Errorf("protocols: degenerate full-duplex sum rate %g", fd.Sum)
 	}
-	hd, err := OptimalSumRate(p, BoundInner, s)
+	hd, err := NewEvaluator().SumRate(p, BoundInner, s)
 	if err != nil {
 		return 0, err
 	}
-	return hd.Sum / fd.Sum, nil
+	return hd / fd.Sum, nil
 }

@@ -15,13 +15,14 @@ import (
 func TestMABCCapacityTightness(t *testing.T) {
 	// Theorem 2 is tight: the MABC inner and outer bounds must coincide for
 	// every scenario.
+	e := NewEvaluator()
 	for _, pdb := range []float64{-10, -3, 0, 7, 14} {
 		s := testScenario(pdb)
-		inner, err := GaussianRegion(MABC, BoundInner, s, RegionOptions{Angles: 91})
+		inner, err := e.Region(MABC, BoundInner, s, RegionOptions{Angles: 91})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outer, err := GaussianRegion(MABC, BoundOuter, s, RegionOptions{Angles: 91})
+		outer, err := e.Region(MABC, BoundOuter, s, RegionOptions{Angles: 91})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,10 +37,11 @@ func TestInnerInsideOuter(t *testing.T) {
 	// scenario (for HBC the Gaussian outer is the heuristic independent-
 	// input evaluation, which still dominates the independent-input inner
 	// region by construction).
+	e := NewEvaluator()
 	for _, pdb := range []float64{-5, 0, 5, 10} {
 		s := testScenario(pdb)
 		for _, p := range Protocols() {
-			inner, err := GaussianRegion(p, BoundInner, s, RegionOptions{Angles: 61})
+			inner, err := e.Region(p, BoundInner, s, RegionOptions{Angles: 61})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,14 +83,12 @@ func TestClaimHBCSumRateDominates(t *testing.T) {
 			G: placementGains(d, 3),
 		})
 	}
+	e := NewEvaluator()
 	for _, s := range scenarios {
-		cmp, err := CompareSumRates(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hbc := cmp.BySumRate[HBC]
-		mabc := cmp.BySumRate[MABC]
-		tdbc := cmp.BySumRate[TDBC]
+		sums := innerSumRates(t, e, s)
+		hbc := sums[HBC]
+		mabc := sums[MABC]
+		tdbc := sums[TDBC]
 		if hbc < mabc-1e-7 || hbc < tdbc-1e-7 {
 			t.Errorf("HBC %v below MABC %v or TDBC %v at %+v", hbc, mabc, tdbc, s)
 		}
@@ -109,22 +109,29 @@ func TestClaimMABCTDBCCrossover(t *testing.T) {
 	// protocol, while the latter is better in the high SNR regime."
 	low := testScenario(0)
 	high := testScenario(20)
-	cmpLow, err := CompareSumRates(low)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEvaluator()
+	sumLow, sumHigh := innerSumRates(t, e, low), innerSumRates(t, e, high)
+	if sumLow[MABC] <= sumLow[TDBC] {
+		t.Errorf("low SNR: MABC %v should dominate TDBC %v", sumLow[MABC], sumLow[TDBC])
 	}
-	cmpHigh, err := CompareSumRates(high)
-	if err != nil {
-		t.Fatal(err)
+	if sumHigh[TDBC] <= sumHigh[MABC] {
+		t.Errorf("high SNR: TDBC %v should dominate MABC %v", sumHigh[TDBC], sumHigh[MABC])
 	}
-	if cmpLow.BySumRate[MABC] <= cmpLow.BySumRate[TDBC] {
-		t.Errorf("low SNR: MABC %v should dominate TDBC %v",
-			cmpLow.BySumRate[MABC], cmpLow.BySumRate[TDBC])
+}
+
+// innerSumRates returns every protocol's optimal inner-bound sum rate at s —
+// one x-position of Fig 3.
+func innerSumRates(t *testing.T, e *Evaluator, s Scenario) map[Protocol]float64 {
+	t.Helper()
+	out := make(map[Protocol]float64, len(Protocols()))
+	for _, p := range Protocols() {
+		v, err := e.SumRate(p, BoundInner, s)
+		if err != nil {
+			t.Fatalf("%v sum rate: %v", p, err)
+		}
+		out[p] = v
 	}
-	if cmpHigh.BySumRate[TDBC] <= cmpHigh.BySumRate[MABC] {
-		t.Errorf("high SNR: TDBC %v should dominate MABC %v",
-			cmpHigh.BySumRate[TDBC], cmpHigh.BySumRate[MABC])
-	}
+	return out
 }
 
 func TestClaimHBCOutsideOuterBounds(t *testing.T) {
@@ -163,22 +170,23 @@ func TestClaimMABCvsTDBCRegionsLowHighSNR(t *testing.T) {
 	// TDBC region pushes past MABC. Compare via max sum rate and area.
 	low := testScenario(0)
 	high := testScenario(10)
-	mabcLow, err := GaussianRegion(MABC, BoundInner, low, RegionOptions{})
+	e := NewEvaluator()
+	mabcLow, err := e.Region(MABC, BoundInner, low, RegionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdbcLow, err := GaussianRegion(TDBC, BoundInner, low, RegionOptions{})
+	tdbcLow, err := e.Region(TDBC, BoundInner, low, RegionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mabcLow.Area() <= tdbcLow.Area() {
 		t.Errorf("P=0dB: MABC area %v should exceed TDBC area %v", mabcLow.Area(), tdbcLow.Area())
 	}
-	mabcHigh, err := GaussianRegion(MABC, BoundInner, high, RegionOptions{})
+	mabcHigh, err := e.Region(MABC, BoundInner, high, RegionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdbcHigh, err := GaussianRegion(TDBC, BoundInner, high, RegionOptions{})
+	tdbcHigh, err := e.Region(TDBC, BoundInner, high, RegionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +206,13 @@ func TestFig3ShapeRelayPlacement(t *testing.T) {
 	// peaking at the midpoint, MABC dipping at the midpoint (its MAC sum
 	// constraint binds hardest there at high SNR).
 	p := xmath.FromDB(15)
+	e := NewEvaluator()
 	sum := func(proto Protocol, d float64) float64 {
-		res, err := OptimalSumRate(proto, BoundInner, Scenario{P: p, G: placementGains(d, 3)})
+		v, err := e.SumRate(proto, BoundInner, Scenario{P: p, G: placementGains(d, 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Sum
+		return v
 	}
 	for _, d := range []float64{0.2, 0.35} {
 		for _, proto := range Protocols() {

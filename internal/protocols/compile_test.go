@@ -238,9 +238,10 @@ func TestMABCOuterNoRelayDecoding(t *testing.T) {
 }
 
 func TestHBCOuterRelaxedContainsInner(t *testing.T) {
+	e := NewEvaluator()
 	for _, pdb := range []float64{0, 10} {
 		s := testScenario(pdb)
-		inner, err := GaussianRegion(HBC, BoundInner, s, RegionOptions{Angles: 61})
+		inner, err := e.Region(HBC, BoundInner, s, RegionOptions{Angles: 61})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 		}
 		// And the relaxed bound must contain the heuristic outer bound too
 		// (relaxation can only grow the region).
-		heur, err := GaussianRegion(HBC, BoundOuter, s, RegionOptions{Angles: 61})
+		heur, err := e.Region(HBC, BoundOuter, s, RegionOptions{Angles: 61})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -282,9 +282,6 @@ func (e *Evaluator) warmFor(p Protocol, b Bound) *warmBasis {
 // NewEvaluator returns a ready-to-use evaluator.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// evalPool backs the package-level convenience entry points.
-var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
-
 // WeightedRate maximizes muA·Ra + muB·Rb over the bound for a Gaussian
 // scenario, like Spec.MaxWeightedRate but allocation-free. The returned
 // Optimum.Durations aliases evaluator memory and is valid until the next
@@ -920,22 +917,6 @@ func sizeRows(buf [][]float64, n int) [][]float64 {
 	return buf[:n]
 }
 
-// --- Batch and region entry points ----------------------------------------
-
-// EvaluateBatch computes the optimal sum rate of the bound for every
-// scenario, reusing the evaluator's state across solves. Results are
-// appended to dst (which may be nil) and the extended slice is returned.
-func (e *Evaluator) EvaluateBatch(p Protocol, b Bound, scenarios []Scenario, dst []float64) ([]float64, error) {
-	for _, s := range scenarios {
-		v, err := e.SumRate(p, b, s)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
 // Region computes the bound's rate region like Spec.Region, but reuses the
 // evaluator across the support-direction sweep so only the polygon itself is
 // allocated.
@@ -947,27 +928,4 @@ func (e *Evaluator) Region(p Protocol, b Bound, s Scenario, opts RegionOptions) 
 	return regionFromSolver(func(muA, muB float64) (Optimum, error) {
 		return e.WeightedRateLinks(p, b, li, muA, muB)
 	}, opts)
-}
-
-// OptimalSumRates evaluates the bound's optimal sum rate for a slice of
-// scenarios with a single pooled evaluator — the batch companion of
-// OptimalSumRate for sweep and Monte Carlo style workloads.
-func OptimalSumRates(p Protocol, b Bound, scenarios []Scenario) ([]SumRateResult, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
-	out := make([]SumRateResult, 0, len(scenarios))
-	for _, s := range scenarios {
-		opt, err := e.WeightedRate(p, b, s, 1, 1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SumRateResult{
-			Protocol:  p,
-			Kind:      b,
-			Sum:       opt.Objective,
-			Rates:     opt.Rates,
-			Durations: append([]float64(nil), opt.Durations...),
-		})
-	}
-	return out, nil
 }

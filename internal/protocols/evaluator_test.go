@@ -237,64 +237,6 @@ func TestEvaluatorFeasibleMatchesSpec(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesPackageAPI pins the pooled package-level entry point to
-// the evaluator it wraps.
-func TestEvaluatorMatchesPackageAPI(t *testing.T) {
-	s := NewScenarioDB(10, -7, 0, 5)
-	e := NewEvaluator()
-	for _, p := range Protocols() {
-		res, err := OptimalSumRate(p, BoundInner, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := e.SumRate(p, BoundInner, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmath.ApproxEqual(res.Sum, v, 1e-12) {
-			t.Errorf("%v: OptimalSumRate %g vs Evaluator.SumRate %g", p, res.Sum, v)
-		}
-	}
-}
-
-func TestEvaluateBatch(t *testing.T) {
-	e := NewEvaluator()
-	scenarios := []Scenario{
-		NewScenarioDB(0, -7, 0, 5),
-		NewScenarioDB(10, -7, 0, 5),
-		NewScenarioDB(20, -7, 0, 5),
-	}
-	got, err := e.EvaluateBatch(TDBC, BoundInner, scenarios, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(scenarios) {
-		t.Fatalf("batch returned %d results, want %d", len(got), len(scenarios))
-	}
-	for i, s := range scenarios {
-		want, err := OptimalSumRate(TDBC, BoundInner, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmath.ApproxEqual(got[i], want.Sum, 1e-12) {
-			t.Errorf("batch[%d] = %g, want %g", i, got[i], want.Sum)
-		}
-		if got[i] >= got[0] == (i == 0) && i > 0 && got[i] <= got[i-1] {
-			t.Errorf("sum rate not increasing in power: %v", got)
-		}
-	}
-	// OptimalSumRates mirrors the batch values with full results.
-	res, err := OptimalSumRates(TDBC, BoundInner, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if !xmath.ApproxEqual(res[i].Sum, got[i], 1e-12) {
-			t.Errorf("OptimalSumRates[%d] = %g, want %g", i, res[i].Sum, got[i])
-		}
-	}
-}
-
 func TestEvaluatorRegionMatchesSpecRegion(t *testing.T) {
 	s := NewScenarioDB(10, -7, 0, 5)
 	e := NewEvaluator()

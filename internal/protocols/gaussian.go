@@ -1,10 +1,6 @@
 package protocols
 
-import (
-	"fmt"
-
-	"bicoop/internal/region"
-)
+import "bicoop/internal/region"
 
 // SumRateResult reports a protocol's optimal sum rate in a scenario along
 // with the operating point and durations that achieve it.
@@ -14,55 +10,6 @@ type SumRateResult struct {
 	Sum       float64
 	Rates     RatePair
 	Durations []float64
-}
-
-// OptimalSumRate computes the LP-optimal sum rate of a protocol bound in a
-// Gaussian scenario — one point of the paper's Fig 3. It draws a pooled
-// Evaluator, so repeated calls hit the cached-template fast paths; callers
-// with a hot loop of their own should hold a private Evaluator instead.
-func OptimalSumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
-	opt, err := e.WeightedRate(p, b, s, 1, 1)
-	if err != nil {
-		return SumRateResult{}, err
-	}
-	return SumRateResult{
-		Protocol:  p,
-		Kind:      b,
-		Sum:       opt.Objective,
-		Rates:     opt.Rates,
-		Durations: append([]float64(nil), opt.Durations...),
-	}, nil
-}
-
-// GaussianRegion computes a protocol bound's full rate region in a Gaussian
-// scenario — one curve of the paper's Fig 4.
-func GaussianRegion(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
-	return e.Region(p, b, s, opts)
-}
-
-// SumRateComparison evaluates the inner-bound optimal sum rates of every
-// protocol in one scenario — one x-position of Fig 3.
-type SumRateComparison struct {
-	Scenario Scenario
-	// BySumRate maps protocol to its optimal achievable sum rate.
-	BySumRate map[Protocol]float64
-}
-
-// CompareSumRates computes the Fig 3 quantities for one scenario.
-func CompareSumRates(s Scenario) (SumRateComparison, error) {
-	out := SumRateComparison{Scenario: s, BySumRate: make(map[Protocol]float64, len(Protocols()))}
-	for _, p := range Protocols() {
-		res, err := OptimalSumRate(p, BoundInner, s)
-		if err != nil {
-			return SumRateComparison{}, fmt.Errorf("protocols: %v sum rate: %w", p, err)
-		}
-		out.BySumRate[p] = res.Sum
-	}
-	return out, nil
 }
 
 // EscapeWitness is an achievable HBC operating point lying outside both the
@@ -83,15 +30,16 @@ type EscapeWitness struct {
 // is then verified exactly by LP — it must be infeasible for both outer
 // bounds — so finite polygon resolution cannot produce false witnesses.
 func HBCEscapePoints(s Scenario, opts RegionOptions) ([]EscapeWitness, error) {
-	hbcInner, err := GaussianRegion(HBC, BoundInner, s, opts)
+	e := NewEvaluator()
+	hbcInner, err := e.Region(HBC, BoundInner, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	mabcOuter, err := GaussianRegion(MABC, BoundOuter, s, opts)
+	mabcOuter, err := e.Region(MABC, BoundOuter, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	tdbcOuter, err := GaussianRegion(TDBC, BoundOuter, s, opts)
+	tdbcOuter, err := e.Region(TDBC, BoundOuter, s, opts)
 	if err != nil {
 		return nil, err
 	}

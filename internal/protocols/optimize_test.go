@@ -13,13 +13,13 @@ func TestDTClosedForm(t *testing.T) {
 	// DT sum rate equals C(P·Gab) exactly: the two phases share one link.
 	for _, pdb := range []float64{-10, 0, 10, 20} {
 		s := testScenario(pdb)
-		res, err := OptimalSumRate(DT, BoundInner, s)
+		res, err := NewEvaluator().WeightedRate(DT, BoundInner, s, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := xmath.C(s.P * s.G.AB)
-		if !xmath.ApproxEqual(res.Sum, want, 1e-9) {
-			t.Errorf("P=%vdB: DT sum = %v, want %v", pdb, res.Sum, want)
+		if !xmath.ApproxEqual(res.Objective, want, 1e-9) {
+			t.Errorf("P=%vdB: DT sum = %v, want %v", pdb, res.Objective, want)
 		}
 		// Durations sum to one.
 		if !xmath.ApproxEqual(xmath.Sum(res.Durations), 1, 1e-9) {
@@ -33,15 +33,15 @@ func TestNaive4ClosedForm(t *testing.T) {
 	// Car·Cbr/(Car+Cbr) (each flow crosses both links; time shares out).
 	for _, pdb := range []float64{0, 10} {
 		s := testScenario(pdb)
-		res, err := OptimalSumRate(Naive4, BoundInner, s)
+		res, err := NewEvaluator().SumRate(Naive4, BoundInner, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		car := xmath.C(s.P * s.G.AR)
 		cbr := xmath.C(s.P * s.G.BR)
 		want := car * cbr / (car + cbr)
-		if !xmath.ApproxEqual(res.Sum, want, 1e-9) {
-			t.Errorf("P=%vdB: Naive4 sum = %v, want %v", pdb, res.Sum, want)
+		if !xmath.ApproxEqual(res, want, 1e-9) {
+			t.Errorf("P=%vdB: Naive4 sum = %v, want %v", pdb, res, want)
 		}
 	}
 }
@@ -51,7 +51,7 @@ func TestMABCSumRateAgainstGoldenSection(t *testing.T) {
 	// (MABC has two phases, so the LP reduces to one free variable).
 	for _, pdb := range []float64{-5, 0, 5, 10, 15} {
 		s := testScenario(pdb)
-		res, err := OptimalSumRate(MABC, BoundInner, s)
+		res, err := NewEvaluator().SumRate(MABC, BoundInner, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +68,8 @@ func TestMABCSumRateAgainstGoldenSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !xmath.ApproxEqual(res.Sum, best, 1e-6) {
-			t.Errorf("P=%vdB: LP %v vs golden %v", pdb, res.Sum, best)
+		if !xmath.ApproxEqual(res, best, 1e-6) {
+			t.Errorf("P=%vdB: LP %v vs golden %v", pdb, res, best)
 		}
 	}
 }
@@ -77,7 +77,7 @@ func TestMABCSumRateAgainstGoldenSection(t *testing.T) {
 func TestTDBCSumRateAgainstGridSearch(t *testing.T) {
 	// TDBC has two free durations; validate the LP against a fine 2-D grid.
 	s := testScenario(10)
-	res, err := OptimalSumRate(TDBC, BoundInner, s)
+	res, err := NewEvaluator().SumRate(TDBC, BoundInner, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestTDBCSumRateAgainstGridSearch(t *testing.T) {
 			}
 		}
 	}
-	if res.Sum < best-1e-6 {
-		t.Errorf("LP sum %v below grid %v", res.Sum, best)
+	if res < best-1e-6 {
+		t.Errorf("LP sum %v below grid %v", res, best)
 	}
-	if res.Sum > best+0.01 {
-		t.Errorf("LP sum %v implausibly above grid %v (grid step too coarse?)", res.Sum, best)
+	if res > best+0.01 {
+		t.Errorf("LP sum %v implausibly above grid %v (grid step too coarse?)", res, best)
 	}
 }
 
@@ -271,13 +271,14 @@ func TestRegionSymmetryUnderSwap(t *testing.T) {
 	// diagonal.
 	s := testScenario(10)
 	sw := s.Swap()
+	e := NewEvaluator()
 	for _, p := range Protocols() {
 		for _, b := range []Bound{BoundInner, BoundOuter} {
-			r1, err := GaussianRegion(p, b, s, RegionOptions{Angles: 91})
+			r1, err := e.Region(p, b, s, RegionOptions{Angles: 91})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := GaussianRegion(p, b, sw, RegionOptions{Angles: 91})
+			r2, err := e.Region(p, b, sw, RegionOptions{Angles: 91})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,17 +293,18 @@ func TestRegionMonotoneInPower(t *testing.T) {
 	// More power can only grow every bound's region.
 	g := testScenario(0).G
 	var prev = make(map[Protocol]float64)
+	e := NewEvaluator()
 	for _, pdb := range []float64{-5, 0, 5, 10, 15} {
 		s := Scenario{P: xmath.FromDB(pdb), G: g}
 		for _, p := range Protocols() {
-			res, err := OptimalSumRate(p, BoundInner, s)
+			res, err := e.SumRate(p, BoundInner, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Sum < prev[p]-1e-9 {
-				t.Errorf("%v: sum rate decreased with power at %vdB: %v -> %v", p, pdb, prev[p], res.Sum)
+			if res < prev[p]-1e-9 {
+				t.Errorf("%v: sum rate decreased with power at %vdB: %v -> %v", p, pdb, prev[p], res)
 			}
-			prev[p] = res.Sum
+			prev[p] = res
 		}
 	}
 }

@@ -101,14 +101,14 @@ func TestRunOutageStatisticalSanity(t *testing.T) {
 	}
 	// The fading-averaged adaptive sum rate is within a plausible band of
 	// the fixed-gain sum rate (Jensen effects are modest at these SNRs).
-	fixed, err := protocols.OptimalSumRate(protocols.MABC, protocols.BoundInner,
+	fixed, err := protocols.NewEvaluator().SumRate(protocols.MABC, protocols.BoundInner,
 		protocols.Scenario{P: cfg.P, G: cfg.Mean})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mabc := res.ByProtocol[protocols.MABC]
-	if mabc.MeanOptSumRate < 0.5*fixed.Sum || mabc.MeanOptSumRate > 1.5*fixed.Sum {
-		t.Errorf("fading mean %v implausible vs fixed-gain %v", mabc.MeanOptSumRate, fixed.Sum)
+	if mabc.MeanOptSumRate < 0.5*fixed || mabc.MeanOptSumRate > 1.5*fixed {
+		t.Errorf("fading mean %v implausible vs fixed-gain %v", mabc.MeanOptSumRate, fixed)
 	}
 	// Outage probabilities are proper probabilities.
 	for p, st := range res.ByProtocol {

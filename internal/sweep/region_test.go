@@ -95,10 +95,11 @@ func TestRegionBatchEnumerationOrder(t *testing.T) {
 func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 	spec := regionTestSpec(45)
 	got := collectRegions(t, spec, 3)
+	serial := protocols.NewEvaluator()
 	for _, r := range got {
 		c := spec.Curves[r.CurveIdx]
 		s := spec.Scenarios[r.ScenarioIdx]
-		want, err := protocols.GaussianRegion(c.Proto, c.Bound, s.internal(),
+		want, err := serial.Region(c.Proto, c.Bound, s.internal(),
 			protocols.RegionOptions{Angles: spec.Angles})
 		if err != nil {
 			t.Fatal(err)
@@ -204,9 +205,9 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 }
 
 // TestRegionOneAngleRefusedOnBothPaths pins that a 1-angle sweep, whose
-// support direction would divide 0 by 0, is an error on the serial region
-// path (Spec.Region, Evaluator.Region, GaussianRegion) as on RegionBatch,
-// instead of a polygon built from the two axis solves alone.
+// support direction would divide 0 by 0, is an error on both serial region
+// paths (Spec.Region, Evaluator.Region) as on RegionBatch, instead of a
+// polygon built from the two axis solves alone.
 func TestRegionOneAngleRefusedOnBothPaths(t *testing.T) {
 	s := Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}.internal()
 	opts := protocols.RegionOptions{Angles: 1}
@@ -220,7 +221,6 @@ func TestRegionOneAngleRefusedOnBothPaths(t *testing.T) {
 			"Evaluator.Region": func() (region.Polygon, error) {
 				return protocols.NewEvaluator().Region(proto, protocols.BoundInner, s, opts)
 			},
-			"GaussianRegion": func() (region.Polygon, error) { return protocols.GaussianRegion(proto, protocols.BoundInner, s, opts) },
 		}
 		for name, build := range serial {
 			if poly, err := build(); !errors.Is(err, protocols.ErrBadAngles) {

@@ -177,24 +177,19 @@ func (e *Engine) Simulate(ctx context.Context, spec SimSpec) (SimResult, error) 
 	if err := spec.validate(); err != nil {
 		return SimResult{}, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = e.workers
-	}
-	return e.runSim(ctx, spec, workers)
+	return e.runSim(ctx, spec, e.resolveWorkers(spec.Workers))
 }
 
 // runSim dispatches a validated spec to its simulator with a resolved
 // worker count.
 func (e *Engine) runSim(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
-	progress := spec.Progress
 	switch {
 	case spec.Fading != nil:
-		return e.simulateFading(ctx, spec, workers, progress)
+		return e.simulateFading(ctx, spec, workers)
 	case spec.BitTrueTDBC != nil:
-		return e.simulateBitTrueTDBC(ctx, spec, workers, progress)
+		return e.simulateBitTrueTDBC(ctx, spec, workers)
 	default:
-		return e.simulateBitTrueMABC(ctx, spec, workers, progress)
+		return e.simulateBitTrueMABC(ctx, spec, workers)
 	}
 }
 
@@ -215,7 +210,7 @@ func simWrap(err error) error {
 // — both entry points (Simulate and SimulateBatch) run it up front, so the
 // static checks live in exactly one place.
 
-func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
+func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
 	fs := spec.Fading
 	protosPub := fs.Protocols
 	if len(protosPub) == 0 {
@@ -223,10 +218,7 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 	}
 	protosInt := make([]protocols.Protocol, 0, len(protosPub))
 	for _, p := range protosPub {
-		ip, err := p.internal()
-		if err != nil {
-			return SimResult{}, err
-		}
+		ip, _ := p.internal() // validate rejected unknown protocols
 		protosInt = append(protosInt, ip)
 	}
 	trials := spec.Trials
@@ -242,7 +234,7 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 		Trials:    trials,
 		Seed:      spec.Seed,
 		Workers:   workers,
-		Progress:  progress,
+		Progress:  spec.Progress,
 	})
 	if runErr != nil && res.ByProtocol == nil {
 		return SimResult{}, simWrap(runErr)
@@ -272,7 +264,7 @@ func validateBitTrueCommon(trials, blockLength int, rates ...float64) error {
 	return nil
 }
 
-func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
+func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
 	ts := spec.BitTrueTDBC
 	res, runErr := sim.RunBitTrueTDBC(ctx, sim.BitTrueConfig{
 		Net:         sim.ErasureNetwork{EpsAR: ts.Links.EpsAR, EpsBR: ts.Links.EpsBR, EpsAB: ts.Links.EpsAB},
@@ -282,7 +274,7 @@ func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers 
 		Trials:      spec.Trials,
 		Seed:        spec.Seed,
 		Workers:     workers,
-		Progress:    progress,
+		Progress:    spec.Progress,
 	})
 	if runErr != nil && res.Durations == nil {
 		return SimResult{}, simWrap(runErr)
@@ -374,7 +366,7 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	// counts — no chunk-boundary flooring.)
 	prefix, err := sweep.RunCore(ctx, len(spec.Specs),
 		sweep.CoreOptions{
-			Workers:    e.campaignWorkers(spec.Workers),
+			Workers:    e.resolveWorkers(spec.Workers),
 			ChunkSize:  1,
 			Start:      spec.Start,
 			Checkpoint: spec.Checkpoint,
@@ -418,15 +410,7 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	}
 }
 
-// campaignWorkers resolves the outer pool size of a campaign.
-func (e *Engine) campaignWorkers(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return e.workers
-}
-
-func (e *Engine) simulateBitTrueMABC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
+func (e *Engine) simulateBitTrueMABC(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
 	ms := spec.BitTrueMABC
 	res, runErr := sim.RunBitTrueMABC(ctx, sim.MABCBitTrueConfig{
 		EpsMAC: ms.Links.EpsMAC, EpsRA: ms.Links.EpsRA, EpsRB: ms.Links.EpsRB,
@@ -436,7 +420,7 @@ func (e *Engine) simulateBitTrueMABC(ctx context.Context, spec SimSpec, workers 
 		Trials:      spec.Trials,
 		Seed:        spec.Seed,
 		Workers:     workers,
-		Progress:    progress,
+		Progress:    spec.Progress,
 	})
 	if runErr != nil && res.Durations == nil {
 		return SimResult{}, simWrap(runErr)
