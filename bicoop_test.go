@@ -365,7 +365,6 @@ func TestComputeForwardMABCFacade(t *testing.T) {
 			BitTrueMABC: &BitTrueMABCSpec{Links: links, Rate: rate, BlockLength: 2000},
 			Trials:      12,
 			Seed:        3,
-			Workers:     2, // pinned so results do not depend on GOMAXPROCS
 		})
 		if err != nil {
 			return BitTrueResult{}, err

@@ -229,7 +229,8 @@ func withDeadline(ctx context.Context, d time.Duration) (context.Context, contex
 
 // perfFlags registers the shared performance flags: -workers caps the
 // process's parallelism (GOMAXPROCS, which also bounds the Monte Carlo
-// worker pools) and -cpuprofile writes a pprof CPU profile of the run.
+// worker counts; results do not depend on it) and -cpuprofile writes a
+// pprof CPU profile of the run.
 func perfFlags(fs *flag.FlagSet) (workers *int, cpuprofile *string) {
 	workers = fs.Int("workers", 0, "cap worker parallelism (GOMAXPROCS); 0 keeps the default")
 	cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")

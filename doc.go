@@ -57,8 +57,9 @@
 //
 //	// The unified Monte Carlo entry point: one SimSpec selects the fading
 //	// or bit-true simulator under a common Trials/Seed/Workers/Progress
-//	// contract; cancelling ctx stops the shard loops within one trial and
-//	// returns the statistics over the trials completed so far.
+//	// contract; results are a function of (Seed, Trials) only, and
+//	// cancelling ctx stops the run within one chunk of trials and returns
+//	// the statistics over the completed prefix.
 //	sim, err := eng.Simulate(ctx, bicoop.SimSpec{Fading: &bicoop.FadingSpec{Scenario: s}})
 //
 //	// Campaigns: families of simulation runs — waterfall scale axes, seed
@@ -268,11 +269,13 @@
 // default to GOMAXPROCS. A post-solve refinement step makes every LP
 // solution a function of its final basis alone, so batch, sweep and region
 // results are bit-identical for every Workers setting — worker count only
-// trades wall-clock time for cores. Campaigns keep the same guarantee one
-// level up: every SimSpec carries its own seed, and inside a campaign a
-// spec's zero Workers field means one trial goroutine (not the engine
-// default), so campaign statistics never depend on the outer worker count
-// or the host's core count.
+// trades wall-clock time for cores. The Monte Carlo simulators keep the
+// same guarantee: they run fixed-size chunks of trials on the same core,
+// trial t draws from a random stream seeded from (Seed, t), and chunk
+// tallies merge in chunk order, so every simulation result is a function of
+// (Seed, Trials) only. Campaigns keep it one level up: every SimSpec
+// carries its own seed, so campaign statistics depend on neither the outer
+// nor any inner worker count, nor on the host's core count.
 // The figure pipeline streams: experiments consume sweep points through
 // callbacks, tables accumulate raw floats (plot.ColumnTable) and format
 // once at render time, and each canonical figure emits a text+CSV artifact
@@ -327,26 +330,36 @@
 // The incremental basis still wins at 128 unknowns; the dense path wins
 // from about 192.
 //
-// The TDBC/MABC trial loops run on a worker pool with per-worker RNGs,
-// codes, and scratch — zero allocations per block. Context cancellation
-// costs one atomic flag load per trial (internal/sim's runGate), so a
-// cancelled run stops within one trial without slowing an uncancelled one. Allocation regressions are pinned by
-// testing.AllocsPerRun tests next to the hot paths (internal/protocols,
-// internal/sim, internal/simplex, internal/gf2).
+// The TDBC/MABC trial loops run as chunks of trials on sweep.RunCore, each
+// worker owning its codes and scratch and one generator that it reseeds in
+// place for every trial — zero allocations per block. The generator is a
+// math/rand/v2 PCG behind a math/rand Source64 adapter: reseeding it costs a
+// few nanoseconds, where reseeding a math/rand v1 source costs about 13 µs,
+// several fading trials' worth (shared 2-core Xeon VM, Go 1.24).
+// Cancellation is polled once per chunk, so a cancelled run stops within
+// one chunk without slowing an uncancelled one, and its partial result
+// equals an uncancelled run of the completed prefix. Allocation regressions
+// are pinned by testing.AllocsPerRun tests next to the hot paths
+// (internal/protocols, internal/sim, internal/simplex, internal/gf2).
 //
-// Canonical-stream migration note: the word-parallel masks replaced the
-// retired one-Float64-per-position erasure sampling, which changed the
-// bit-true simulators' canonical random stream. Results remain a pure
-// function of (Seed, Trials, Workers), but a seed recorded against the
-// scalar stream now produces a different — statistically equally valid —
-// sample path, so success counts from pre-mask releases are not directly
-// comparable at the per-seed level (the statistical contracts, waterfall
-// thresholds and sharded-vs-sequential agreement all carry over).
+// Canonical-stream migration notes. First, the word-parallel masks replaced
+// the retired one-Float64-per-position erasure sampling, which changed the
+// bit-true simulators' canonical random stream. Second, trial-indexed
+// streams replaced the per-worker ones (worker w seeded with Seed +
+// w·0x9e3779b9, trials split contiguously), which changed every seeded
+// sample path of all three simulators once more: results used to be a
+// function of (Seed, Trials, Workers) and are now a function of (Seed,
+// Trials) only. A seed recorded against an older stream produces a
+// different — statistically equally valid — sample path, so counts from
+// older releases are not comparable at the per-seed level; the statistical
+// contracts and waterfall thresholds carry over, and
+// internal/sim's TestStreamStatisticalAcceptance checks the new stream
+// against exact finite-length values and the retired stream's counts.
 //
 // Start perf work from a profile, not a guess:
 //
 //	# profile a real workload through the CLI (also for bit-true runs:
-//	# -workers caps GOMAXPROCS, which bounds every simulator's pool)
+//	# -workers caps GOMAXPROCS, which bounds every simulator's worker count)
 //	go run ./cmd/bcc run fading -workers 1 -cpuprofile /tmp/cpu.prof
 //	go run ./cmd/bcc run bitsim -workers 8 -cpuprofile /tmp/bitsim.prof
 //	go tool pprof -top /tmp/cpu.prof
@@ -390,8 +403,9 @@
 //
 //   - detrand: result-producing packages draw no nondeterminism — no
 //     global math/rand (seeds travel in specs) and no wall-clock reads —
-//     so every result stays a pure function of its inputs and the
-//     bit-identical-across-Workers contract survives.
+//     so every result stays a pure function of its inputs (a simulation's
+//     of its (Seed, Trials)) and the bit-identical-across-Workers contract
+//     survives.
 //   - noalloc: functions annotated `//bicoop:noalloc` (the gf2, simplex
 //     and bit-true per-block kernels) must not contain allocating
 //     constructs; the annotation turns the "zero allocations per block"

@@ -324,7 +324,7 @@ func (e *Engine) Feasible(p Protocol, b Bound, s Scenario, pt RatePoint) (bool, 
 // RunExperiment executes a reproduction experiment and renders its charts,
 // tables and findings to w. Quick mode reduces resolutions for fast runs.
 // The context bounds the run: cancelling it stops in-flight Monte Carlo
-// work within one trial (and analytic sweeps within one chunk).
+// and analytic sweep work within one chunk.
 func (e *Engine) RunExperiment(ctx context.Context, id string, quick bool, seed int64, w io.Writer) error {
 	res, err := experiments.Run(ctx, id, experiments.Config{Quick: quick, Seed: seed})
 	if err != nil {

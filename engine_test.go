@@ -169,10 +169,6 @@ func TestSimulateCancellation(t *testing.T) {
 	eng := bicoop.NewEngine()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
 	start := time.Now()
 	res, err := eng.Simulate(ctx, bicoop.SimSpec{
 		BitTrueTDBC: &bicoop.BitTrueTDBCSpec{
@@ -183,12 +179,15 @@ func TestSimulateCancellation(t *testing.T) {
 		Trials:  1_000_000, // hours of work if the cancel were ignored
 		Seed:    1,
 		Workers: 2,
+		// Cancel once the first chunk of trials has merged, so the run is
+		// stopped mid-flight with a non-empty prefix.
+		Progress: func(int, int) { cancel() },
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Generous bound: a worker notices the flag within one ~2ms block; the
+	// Generous bound: the pool stops within one chunk of ~2ms blocks; the
 	// limit only has to rule out "ran to completion".
 	if elapsed > 10*time.Second {
 		t.Fatalf("cancelled Simulate took %v", elapsed)

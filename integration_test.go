@@ -40,7 +40,6 @@ func TestLPDurationsDriveBitTrueSuccess(t *testing.T) {
 		BlockLength: 3000,
 		Trials:      25,
 		Seed:        9,
-		Workers:     4, // pinned so results do not depend on GOMAXPROCS
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -128,9 +128,6 @@ func runBitSimMABC(cfg Config) (Result, error) {
 			BlockLength: blockLen,
 			Trials:      trials,
 			Seed:        cfg.Seed + int64(i),
-			// Fixed worker count: seed-reproducible across machines, still
-			// sharded on multi-core hosts (see the bitsim experiment).
-			Workers: 8,
 		})
 		if err != nil {
 			return err

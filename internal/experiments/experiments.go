@@ -26,16 +26,14 @@ type Config struct {
 	Seed int64
 	// Workers bounds the goroutines sharding the analytic figure sweeps,
 	// the region batches, and the outer pool of the Monte Carlo campaigns;
-	// zero means GOMAXPROCS. Results are bit-identical for every value (the
-	// Monte Carlo experiments pin their own inner worker counts for seed
-	// reproducibility, so campaign resharding never changes a random
-	// stream).
+	// zero means GOMAXPROCS. Results are bit-identical for every value (a
+	// simulator run is a function of its (Seed, Trials) only, whatever its
+	// own worker count).
 	Workers int
 
 	// runCtx bounds the run; Run threads its ctx argument here, and every
 	// runner hands it to the Monte Carlo simulators and analytic sweeps it
-	// drives, so cancelling it stops in-flight work within one trial or
-	// chunk.
+	// drives, so cancelling it stops in-flight work within one chunk.
 	runCtx context.Context
 }
 

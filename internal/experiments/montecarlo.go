@@ -13,9 +13,10 @@ import (
 // campaign runs n independent simulation points through the generic sharded
 // core with one run per chunk, so a family of Monte Carlo runs (a waterfall
 // scale axis, a seed/SNR family) pipelines across cfg.Workers instead of
-// executing scales-in-series. Each point must be individually deterministic
-// (fixed seed and inner worker count), which makes the campaign's results
-// independent of the outer worker count; run(i) stores its own result.
+// executing scales-in-series. Each point is deterministic given its seed
+// (simulator results never depend on worker counts), which makes the
+// campaign's results independent of the outer worker count; run(i) stores
+// its own result.
 func campaign(cfg Config, n int, run func(i int) error) error {
 	_, err := sweep.RunCore(cfg.ctx(), n,
 		sweep.CoreOptions{Workers: cfg.Workers, ChunkSize: 1},
@@ -58,8 +59,8 @@ func runFading(cfg Config) (Result, error) {
 	}
 	var findings []string
 	// The SNR family is a campaign: every power level is one deterministic
-	// run (per-power seed, fixed inner worker count), pipelined across
-	// cfg.Workers instead of executing powers-in-series.
+	// run (per-power seed), pipelined across cfg.Workers instead of
+	// executing powers-in-series.
 	results := make([]sim.OutageResult, len(powersDB))
 	err := campaign(cfg, len(powersDB), func(pi int) error {
 		res, err := sim.RunOutage(cfg.ctx(), sim.OutageConfig{
@@ -69,10 +70,6 @@ func runFading(cfg Config) (Result, error) {
 			Target:    protocols.RatePair{Ra: 0.5, Rb: 0.5},
 			Trials:    trials,
 			Seed:      cfg.Seed + int64(pi),
-			// A fixed worker count (not GOMAXPROCS) keeps the per-trial
-			// random streams — and with them the table — reproducible
-			// across machines and campaign worker counts.
-			Workers: 4,
 		})
 		if err != nil {
 			return err
@@ -158,10 +155,6 @@ func runBitSim(cfg Config) (Result, error) {
 			BlockLength: blockLen,
 			Trials:      trials,
 			Seed:        cfg.Seed + int64(i),
-			// A fixed worker count (not GOMAXPROCS) keeps the table and the
-			// waterfall finding seed-reproducible across machines while
-			// still sharding on multi-core hosts.
-			Workers: 8,
 		})
 		if err != nil {
 			return err

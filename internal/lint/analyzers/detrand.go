@@ -9,13 +9,14 @@ import (
 )
 
 // Detrand enforces the determinism invariant of every result-producing
-// package: results must be bit-identical for a fixed (Seed, Trials,
-// Workers) triple across runs and machines, which forbids the ambient
-// nondeterminism sources — the process-global math/rand generators (and
-// their auto-seeded math/rand/v2 cousins) and wall-clock reads. Randomness
-// must flow through a per-worker *rand.Rand seeded from the spec
-// (constructors like rand.New/rand.NewSource stay legal); time must not
-// influence results at all.
+// package: a simulation's results must be bit-identical for a fixed (Seed,
+// Trials) pair across runs, machines and worker counts, which forbids the
+// ambient nondeterminism sources — the process-global math/rand generators
+// (and their auto-seeded math/rand/v2 cousins) and wall-clock reads.
+// Randomness must flow through generators seeded from the spec, such as
+// internal/sim's per-worker *rand.Rand reseeded from (Seed, trial) before
+// every trial (constructors like rand.New/rand.NewSource/rand.NewPCG stay
+// legal); time must not influence results at all.
 var Detrand = &lint.Analyzer{
 	Name:  "detrand",
 	Doc:   "forbid global math/rand functions and wall-clock reads in result-producing packages",

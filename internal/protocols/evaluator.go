@@ -29,8 +29,8 @@ package protocols
 //     general-solver fallback performs no steady-state allocation.
 //
 // An Evaluator is cheap to create but not goroutine-safe: give each worker
-// its own (as internal/sim does), or use the package-level entry points,
-// which draw evaluators from a pool.
+// its own, as internal/sim's simulator workers and internal/sweep's
+// per-worker state do.
 
 import (
 	"fmt"

@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/netcode"
@@ -16,48 +14,10 @@ import (
 	"bicoop/internal/protocols"
 )
 
-// ErasureNetwork instantiates the paper's three-node half-duplex network
-// with binary erasure links: link (i,j) delivers each transmitted bit with
-// probability 1-ε(i,j), so its per-use mutual information is 1-ε. The
-// channels are reciprocal, mirroring the Gaussian model.
-type ErasureNetwork struct {
-	// EpsAR, EpsBR, EpsAB are the erasure probabilities of the a-r, b-r and
-	// a-b links.
-	EpsAR, EpsBR, EpsAB float64
-}
-
-// Validate checks the erasure probabilities.
-func (n ErasureNetwork) Validate() error {
-	for _, e := range []float64{n.EpsAR, n.EpsBR, n.EpsAB} {
-		if e < 0 || e > 1 || math.IsNaN(e) {
-			return fmt.Errorf("sim: erasure probability %g out of [0,1]", e)
-		}
-	}
-	return nil
-}
-
-// LinkInfos maps the erasure network to the mutual-information terms of the
-// protocol theorems: every point-to-point term is 1-ε, the broadcast
-// observations are independent, and the SIMO terms combine erasures as
-// 1-ε1·ε2 (the bit survives unless both copies are erased). The MAC terms
-// are not meaningful for this orthogonal-erasure abstraction and are set to
-// the values that make TDBC — the protocol the bit-true simulator executes —
-// exactly evaluable.
-func (n ErasureNetwork) LinkInfos() protocols.LinkInfos {
-	return protocols.LinkInfos{
-		AtoR:       1 - n.EpsAR,
-		BtoR:       1 - n.EpsBR,
-		AtoB:       1 - n.EpsAB,
-		BtoA:       1 - n.EpsAB,
-		RtoA:       1 - n.EpsAR,
-		RtoB:       1 - n.EpsBR,
-		MACAGivenB: 1 - n.EpsAR,
-		MACBGivenA: 1 - n.EpsBR,
-		MACSum:     math.Max(1-n.EpsAR, 1-n.EpsBR),
-		AtoRB:      1 - n.EpsAR*n.EpsAB,
-		BtoRA:      1 - n.EpsBR*n.EpsAB,
-	}
-}
+// ErasureNetwork is the three-node binary erasure network the bit-true
+// TDBC simulator runs on; it lives in package protocols, which maps it to
+// LinkInfos.
+type ErasureNetwork = protocols.ErasureNetwork
 
 // BitTrueConfig parameterizes a bit-true TDBC run.
 type BitTrueConfig struct {
@@ -72,23 +32,18 @@ type BitTrueConfig struct {
 	BlockLength int
 	// Trials is the number of independent blocks.
 	Trials int
-	// Seed makes the run reproducible: results are deterministic for a
-	// fixed (Seed, Trials, Workers) triple.
+	// Seed makes the run reproducible: block t draws from a stream seeded
+	// from (Seed, t), so results are a function of (Seed, Trials) only. The
+	// canonical stream draws erasures 64 positions at a time (see
+	// erasure.go).
 	Seed int64
-	// Workers bounds the worker pool sharding the trials; non-positive
-	// means GOMAXPROCS. Each worker owns an RNG derived from Seed (worker
-	// w uses Seed + w*workerSeedStride), its own codes, and its own
-	// elimination scratch, so results are a pure function of (Seed,
-	// Trials, Workers); changing Workers reshards the trials and changes
-	// the per-trial stream, exactly as the fading Monte Carlo documents
-	// for its workers. The canonical stream draws erasures 64 positions
-	// at a time (see erasure.go); seeds from releases with the scalar
-	// per-position stream produce different — equally valid — sample
-	// paths.
+	// Workers bounds the goroutines running trial chunks; non-positive
+	// means GOMAXPROCS. Each worker owns its codes and elimination scratch;
+	// the worker count changes only speed, never results.
 	Workers int
 	// Progress, when non-nil, is invoked with the cumulative completed trial
-	// count at stride granularity (see runGate). Invocations are serialized
-	// and the reported count is strictly increasing.
+	// count once per merged chunk. Invocations are serialized and the
+	// reported count is strictly increasing, ending at Trials.
 	Progress func(done, total int)
 }
 
@@ -175,58 +130,30 @@ func deriveTDBCParams(cfg BitTrueConfig) (tdbcParams, []float64, error) {
 // information retained at the terminals, XOR network coding at the relay
 // (zero-padded to the longer message per the paper's group construction),
 // and Gaussian-elimination decoding that pools all equations a node holds.
-// Trials are sharded across cfg.Workers goroutines and the per-worker
-// counters merged after the pool drains. Cancelling ctx stops every worker
-// within one block; the counts over the blocks completed so far are returned
-// alongside the (wrapped) context error.
+// Cancelling ctx stops the run within one chunk; the counts over the
+// completed prefix of blocks are returned alongside the (wrapped) error, and
+// equal an uncancelled run's with Trials set to that prefix.
 func RunBitTrueTDBC(ctx context.Context, cfg BitTrueConfig) (BitTrueResult, error) {
 	p, durations, err := deriveTDBCParams(cfg)
 	if err != nil {
 		return BitTrueResult{}, err
 	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	counts, runErr := runBlocks(ctx, cfg.Trials, cfg.Workers, cfg.Progress,
+		func() *tdbcWorker { return newTDBCWorker(cfg.Net, p, cfg.Seed) })
+	res := BitTrueResult{
+		RelayFailures:    counts[relayFailed],
+		TerminalFailures: counts[terminalFailed],
+		Trials:           counts.trials(),
+		Durations:        durations,
 	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*tdbcWorker, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		count := cfg.Trials*(wi+1)/workers - cfg.Trials*wi/workers
-		wk := newTDBCWorker(cfg.Net, p, cfg.Seed+int64(wi)*workerSeedStride)
-		parts[wi] = wk
-		wg.Add(1)
-		go func(wk *tdbcWorker, count int) {
-			defer wg.Done()
-			_, _ = gate.run(count, func() error { wk.runTrial(); return nil })
-		}(wk, count)
-	}
-	wg.Wait()
-
-	res := BitTrueResult{Durations: durations}
-	successes := 0
-	for _, wk := range parts {
-		successes += wk.successes
-		res.RelayFailures += wk.relayFailures
-		res.TerminalFailures += wk.terminalFailures
-	}
-	res.Trials = successes + res.RelayFailures + res.TerminalFailures
 	if res.Trials > 0 {
-		res.SuccessProb = float64(successes) / float64(res.Trials)
+		res.SuccessProb = float64(counts[decoded]) / float64(res.Trials)
 	}
-	if err := ctxErr(ctx); err != nil {
-		return res, fmt.Errorf("sim: %w", err)
-	}
-	return res, nil
+	return res, runErr
 }
 
-// tdbcWorker owns one goroutine's share of the bit-true Monte Carlo: a
-// seed-derived RNG, three preallocated generator matrices re-randomized in
+// tdbcWorker is one worker's bit-true Monte Carlo state: an RNG reseeded
+// per block, three preallocated generator matrices re-randomized in
 // place per block, every message/codeword buffer, a gf2.Solver with
 // pre-reserved scratch, and the equation-accumulation slices. After worker
 // construction a block performs no heap allocation (gated by
@@ -236,9 +163,11 @@ func RunBitTrueTDBC(ctx context.Context, cfg BitTrueConfig) (BitTrueResult, erro
 // (gf2.Matrix.RowView) or pooled truncations — read-only until the next
 // reset, which is all the solver needs.
 type tdbcWorker struct {
-	net ErasureNetwork
-	p   tdbcParams
-	rng *rand.Rand
+	net  ErasureNetwork
+	p    tdbcParams
+	seed int64
+	src  trialSource
+	rng  *rand.Rand
 
 	// maskAR, maskBR, maskAB draw 64 link erasures per call (see erasure.go).
 	maskAR, maskBR, maskAB prob.WordBernoulli
@@ -261,8 +190,6 @@ type tdbcWorker struct {
 	// truncA/truncB pool the truncated relay rows destined for terminals a
 	// and b (kb- and ka-bit vectors), indexed by relay symbol position.
 	truncA, truncB []gf2.Vector
-
-	successes, relayFailures, terminalFailures int
 }
 
 // newTDBCWorker allocates a worker with every buffer sized to its maximum:
@@ -270,9 +197,9 @@ type tdbcWorker struct {
 // blocks never re-slice beyond capacity.
 func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 	w := &tdbcWorker{
-		net: net,
-		p:   p,
-		rng: rand.New(rand.NewSource(seed)),
+		net:  net,
+		p:    p,
+		seed: seed,
 
 		maskAR: prob.NewWordBernoulli(net.EpsAR),
 		maskBR: prob.NewWordBernoulli(net.EpsBR),
@@ -309,6 +236,7 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 		w.truncA[i] = gf2.NewVector(p.kb)
 		w.truncB[i] = gf2.NewVector(p.ka)
 	}
+	w.rng = rand.New(&w.src)
 	w.solver.Reserve(p.n1, p.ka)
 	w.solver.Reserve(p.n2, p.kb)
 	w.solver.Reserve(p.n2+p.n3, p.kb)
@@ -326,28 +254,13 @@ func (w *tdbcWorker) reset() {
 	w.bitsForA, w.bitsForB = w.bitsForA[:0], w.bitsForB[:0]
 }
 
-// runTrial runs one block and tallies the outcome.
+// runTrial simulates block t. Its erasures are drawn 64 positions per
+// mask in the canonical batch/link order documented in erasure.go, from the
+// stream of trial t, so the outcome depends only on (Seed, t).
 //
 //bicoop:noalloc
-func (w *tdbcWorker) runTrial() {
-	ok, relayOK := w.runBlock()
-	switch {
-	case ok:
-		w.successes++
-	case !relayOK:
-		w.relayFailures++
-	default:
-		w.terminalFailures++
-	}
-}
-
-// runBlock simulates one block. Returns (success, relayDecoded). Erasures
-// are drawn 64 positions per mask in the canonical batch/link order
-// documented in erasure.go, so results are bit-reproducible for a fixed
-// (Seed, Trials, Workers).
-//
-//bicoop:noalloc
-func (w *tdbcWorker) runBlock() (bool, bool) {
+func (w *tdbcWorker) runTrial(t int) outcome {
+	w.src.seedTrial(w.seed, t)
 	w.reset()
 	p := w.p
 	w.wa.Randomize(w.rng)
@@ -397,7 +310,7 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 	errA := w.solver.SolveConsistentInto(&w.decA, p.ka, w.relayRowsA, w.relayBitsA)
 	errB := w.solver.SolveConsistentInto(&w.decB, p.kb, w.relayRowsB, w.relayBitsB)
 	if errA != nil || errB != nil || !w.decA.Equal(w.wa) || !w.decB.Equal(w.wb) {
-		return false, false
+		return relayFailed
 	}
 
 	// Relay XOR-combines in Z_2^kr (zero-padded) and broadcasts n3 random
@@ -435,10 +348,10 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 	}
 
 	if err := w.solver.SolveConsistentInto(&w.gotB, p.kb, w.rowsForA, w.bitsForA); err != nil || !w.gotB.Equal(w.wb) {
-		return false, true
+		return terminalFailed
 	}
 	if err := w.solver.SolveConsistentInto(&w.gotA, p.ka, w.rowsForB, w.bitsForB); err != nil || !w.gotA.Equal(w.wa) {
-		return false, true
+		return terminalFailed
 	}
-	return true, true
+	return decoded
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"bicoop/internal/protocols"
@@ -99,32 +100,48 @@ func benchMABCWorkerAt(tb testing.TB, cfg MABCBitTrueConfig) *mabcWorker {
 	n := cfg.BlockLength
 	n1 := int(math.Round(cfg.Durations[0] * float64(n)))
 	k := int(math.Floor(cfg.Rate * float64(n)))
-	return newMABCWorker(cfg, k, n1, n-n1, cfg.Seed)
+	return newMABCWorker(cfg, k, n1, n-n1)
 }
 
-// BenchmarkBitTrueTDBCBlock measures the per-block kernel: three in-place
-// code redraws, three encodes, erasures, and four word-level eliminations.
-// Steady state must report 0 allocs/op (see TestBitTrueTDBCBlockZeroAllocs).
+// BenchmarkBitTrueTDBCBlock measures the per-block kernel: the per-trial
+// stream reseed, three in-place code redraws, three encodes, erasures, and
+// four word-level eliminations. Steady state must report 0 allocs/op (see
+// TestBitTrueTDBCBlockZeroAllocs).
 func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 	w := benchTDBCWorker(b, benchTDBCConfig(1))
-	w.runTrial()
+	w.runTrial(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.runTrial(i)
 	}
 }
 
 // BenchmarkBitTrueMABCBlock measures the per-block compute-and-forward
-// kernel (two code redraws, two encodes, three eliminations).
+// kernel (reseed, two code redraws, two encodes, three eliminations).
 func BenchmarkBitTrueMABCBlock(b *testing.B) {
 	w := benchMABCWorkerAt(b, benchMABCConfig(1))
-	w.runTrial()
+	w.runTrial(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.runTrial(i)
 	}
+}
+
+// blockAllocs warms w on trials 0..2, then reports the average allocations
+// of its next blocks (each reseeded for its own trial) and their outcomes.
+func blockAllocs(w blockWorker) (float64, tally) {
+	var counts tally
+	t := 0
+	trial := func() {
+		counts[w.runTrial(t)]++
+		t++
+	}
+	for t < 3 {
+		trial()
+	}
+	return testing.AllocsPerRun(200, trial), counts
 }
 
 // TestBitTrueTDBCBlockZeroAllocs is the allocation-regression gate for the
@@ -133,52 +150,37 @@ func BenchmarkBitTrueMABCBlock(b *testing.B) {
 // maximum (phase lengths bound the accumulators, Solver.Reserve bounds the
 // tableau), so this is strict equality, not an average.
 func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
-	w := benchTDBCWorker(t, benchTDBCConfig(1))
-	for i := 0; i < 3; i++ {
-		w.runTrial()
-	}
-	if n := testing.AllocsPerRun(200, func() { w.runTrial() }); n != 0 {
+	if n, _ := blockAllocs(benchTDBCWorker(t, benchTDBCConfig(1))); n != 0 {
 		t.Errorf("TDBC block allocates %.2f/op, want 0", n)
 	}
 	// Also at an operating point above the bound, where decodes fail and the
 	// error paths run.
 	cfg := benchTDBCConfig(1)
 	cfg.Rates = protocols.RatePair{Ra: 0.4, Rb: 0.4}
-	wf := benchTDBCWorker(t, cfg)
-	for i := 0; i < 3; i++ {
-		wf.runTrial()
-	}
-	if n := testing.AllocsPerRun(200, func() { wf.runTrial() }); n != 0 {
+	n, counts := blockAllocs(benchTDBCWorker(t, cfg))
+	if n != 0 {
 		t.Errorf("failing TDBC block allocates %.2f/op, want 0", n)
 	}
-	if wf.successes > 0 {
-		t.Errorf("expected only failures far above the bound, got %d successes", wf.successes)
+	if counts[decoded] > 0 {
+		t.Errorf("expected only failures far above the bound, got %d successes", counts[decoded])
 	}
 }
 
 // TestBitTrueMABCBlockZeroAllocs gates the MABC kernel the same way.
 func TestBitTrueMABCBlockZeroAllocs(t *testing.T) {
-	w := benchMABCWorkerAt(t, benchMABCConfig(1))
-	for i := 0; i < 3; i++ {
-		w.runTrial()
-	}
-	if n := testing.AllocsPerRun(200, func() { w.runTrial() }); n != 0 {
+	if n, _ := blockAllocs(benchMABCWorkerAt(t, benchMABCConfig(1))); n != 0 {
 		t.Errorf("MABC block allocates %.2f/op, want 0", n)
 	}
 	cfg := benchMABCConfig(1)
 	cfg.Rate = 0.55 // above both phase constraints
-	wf := benchMABCWorkerAt(t, cfg)
-	for i := 0; i < 3; i++ {
-		wf.runTrial()
-	}
-	if n := testing.AllocsPerRun(200, func() { wf.runTrial() }); n != 0 {
+	if n, _ := blockAllocs(benchMABCWorkerAt(t, cfg)); n != 0 {
 		t.Errorf("failing MABC block allocates %.2f/op, want 0", n)
 	}
 }
 
-// TestBitTrueTDBCShardingDeterministic pins that a run is reproducible for
-// a fixed (Seed, Trials, Workers) triple and that worker 0 of a sharded run
-// replays the sequential engine's stream (the workerSeedStride contract).
+// TestBitTrueTDBCShardingDeterministic pins that a sharded run is
+// reproducible for a fixed (Seed, Trials) and replays the sequential run
+// exactly.
 func TestBitTrueTDBCShardingDeterministic(t *testing.T) {
 	cfg := benchTDBCConfig(4)
 	cfg.Trials = 40
@@ -190,16 +192,20 @@ func TestBitTrueTDBCShardingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.SuccessProb != r2.SuccessProb || r1.RelayFailures != r2.RelayFailures ||
-		r1.TerminalFailures != r2.TerminalFailures {
-		t.Errorf("sharded run not deterministic: %+v vs %+v", r1, r2)
+	cfg.Workers = 1
+	seq, err := RunBitTrueTDBC(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(r1, seq) {
+		t.Errorf("sharded runs %+v, %+v differ from each other or from the sequential %+v", r1, r2, seq)
 	}
 }
 
-// TestBitTrueTDBCShardedMatchesSequential pins the sharded estimator against
-// the sequential (Workers=1) one: same config, different worker counts must
-// agree within Monte Carlo tolerance at a mid-waterfall operating point,
-// where disagreement would actually show.
+// TestBitTrueTDBCShardedMatchesSequential pins the sharded run against the
+// sequential (Workers=1) one: same config, different worker counts must give
+// identical results at a mid-waterfall operating point, where a reordered or
+// misattributed trial would actually show.
 func TestBitTrueTDBCShardedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo comparison")
@@ -225,14 +231,8 @@ func TestBitTrueTDBCShardedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two independent estimators of the same probability: allow 4 combined
-	// standard errors (fixed seeds make this deterministic; the margin
-	// documents the expected agreement, not flakiness).
-	p := (seq.SuccessProb + par.SuccessProb) / 2
-	se := math.Sqrt(2 * p * (1 - p) / float64(cfg.Trials))
-	if diff := math.Abs(seq.SuccessProb - par.SuccessProb); diff > 4*se+1e-9 {
-		t.Errorf("sequential %.4f vs sharded %.4f: |diff| %.4f exceeds 4·SE %.4f",
-			seq.SuccessProb, par.SuccessProb, diff, 4*se)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("sequential %+v vs sharded %+v: want identical results", seq, par)
 	}
 	if seq.SuccessProb <= 0.5 || seq.SuccessProb >= 0.999 {
 		t.Errorf("operating point drifted out of the informative band: %.4f", seq.SuccessProb)
@@ -263,11 +263,8 @@ func TestBitTrueMABCShardedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := (seq.SuccessProb + par.SuccessProb) / 2
-	se := math.Sqrt(2 * p * (1 - p) / float64(cfg.Trials))
-	if diff := math.Abs(seq.SuccessProb - par.SuccessProb); diff > 4*se+1e-9 {
-		t.Errorf("sequential %.4f vs sharded %.4f: |diff| %.4f exceeds 4·SE %.4f",
-			seq.SuccessProb, par.SuccessProb, diff, 4*se)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("sequential %+v vs sharded %+v: want identical results", seq, par)
 	}
 	if seq.SuccessProb <= 0.5 || seq.SuccessProb >= 0.999 {
 		t.Errorf("operating point drifted out of the informative band: %.4f", seq.SuccessProb)

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/prob"
@@ -38,22 +36,19 @@ type MABCBitTrueConfig struct {
 	BlockLength int
 	// Trials is the number of independent blocks.
 	Trials int
-	// Seed drives the run deterministically for a fixed (Seed, Trials,
-	// Workers) triple.
+	// Seed drives the run deterministically: block t draws from a stream
+	// seeded from (Seed, t), so results are a function of (Seed, Trials)
+	// only. Erasures follow the word-parallel canonical stream (see
+	// erasure.go).
 	Seed int64
-	// Workers bounds the worker pool sharding the trials; non-positive
-	// means GOMAXPROCS. Worker seeding follows the same scheme as the
-	// other simulators (Seed + w*workerSeedStride): results are a pure
-	// function of (Seed, Trials, Workers), and changing Workers only
-	// reshards the trials. Erasures follow the word-parallel canonical
-	// stream (see erasure.go); seeds from the retired scalar stream
-	// produce different — equally valid — sample paths.
+	// Workers bounds the goroutines running trial chunks; non-positive
+	// means GOMAXPROCS. It changes only speed, never results.
 	Workers int
 	// Confidence for the reported success interval (default 0.95).
 	Confidence float64
 	// Progress, when non-nil, is invoked with the cumulative completed trial
-	// count at stride granularity (see runGate). Invocations are serialized
-	// and the reported count is strictly increasing.
+	// count once per merged chunk. Invocations are serialized and the
+	// reported count is strictly increasing, ending at Trials.
 	Progress func(done, total int)
 }
 
@@ -97,10 +92,11 @@ func MABCComputeForwardBound(epsMAC, epsRA, epsRB float64) (rate float64, durati
 }
 
 // RunBitTrueMABC executes the compute-and-forward MABC protocol bit by bit,
-// sharding trials across cfg.Workers goroutines with per-worker RNGs,
-// codes, and elimination scratch. Cancelling ctx stops every worker within
-// one block; the counts over the blocks completed so far are returned
-// alongside the (wrapped) context error.
+// running trial chunks across cfg.Workers goroutines, each with its own
+// codes and elimination scratch. Cancelling ctx stops the run within one
+// chunk; the counts over the completed prefix of blocks are returned
+// alongside the (wrapped) error, and equal an uncancelled run's with Trials
+// set to that prefix.
 func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResult, error) {
 	for _, e := range []float64{cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB} {
 		if e < 0 || e > 1 || math.IsNaN(e) {
@@ -134,37 +130,15 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 		conf = 0.95
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	counts, runErr := runBlocks(ctx, cfg.Trials, cfg.Workers, cfg.Progress,
+		func() *mabcWorker { return newMABCWorker(cfg, k, n1, n2) })
+	res := MABCBitTrueResult{
+		RelayFailures:    counts[relayFailed],
+		TerminalFailures: counts[terminalFailed],
+		Trials:           counts.trials(),
+		Durations:        durations,
 	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*mabcWorker, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		count := cfg.Trials*(wi+1)/workers - cfg.Trials*wi/workers
-		wk := newMABCWorker(cfg, k, n1, n2, cfg.Seed+int64(wi)*workerSeedStride)
-		parts[wi] = wk
-		wg.Add(1)
-		go func(wk *mabcWorker, count int) {
-			defer wg.Done()
-			_, _ = gate.run(count, func() error { wk.runTrial(); return nil })
-		}(wk, count)
-	}
-	wg.Wait()
-
-	res := MABCBitTrueResult{Durations: durations}
-	successes := 0
-	for _, wk := range parts {
-		successes += wk.successes
-		res.RelayFailures += wk.relayFailures
-		res.TerminalFailures += wk.terminalFailures
-	}
-	res.Trials = successes + res.RelayFailures + res.TerminalFailures
+	successes := counts[decoded]
 	if res.Trials > 0 {
 		res.SuccessProb = float64(successes) / float64(res.Trials)
 		ci, err := stats.WilsonInterval(successes, res.Trials, conf)
@@ -173,14 +147,11 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 		}
 		res.SuccessCI = ci
 	}
-	if err := ctxErr(ctx); err != nil {
-		return res, fmt.Errorf("sim: %w", err)
-	}
-	return res, nil
+	return res, runErr
 }
 
-// mabcWorker owns one goroutine's share of the compute-and-forward Monte
-// Carlo: a seed-derived RNG, two preallocated generators re-randomized in
+// mabcWorker is one worker's compute-and-forward Monte Carlo state: an RNG
+// reseeded per block, two preallocated generators re-randomized in
 // place per block, message/codeword buffers, the broadcast erasure masks, a
 // pre-reserved gf2.Solver, and the equation accumulators. Rows are shared
 // generator views (RowView): read-only here, consumed in place by the
@@ -188,6 +159,8 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 // TestBitTrueMABCBlockZeroAllocs).
 type mabcWorker struct {
 	k, n1, n2 int
+	seed      int64
+	src       trialSource
 	rng       *rand.Rand
 
 	// maskMAC, maskRA, maskRB draw 64 link erasures per call (see
@@ -206,19 +179,17 @@ type mabcWorker struct {
 
 	rows []gf2.Vector
 	bits []int
-
-	successes, relayFailures, terminalFailures int
 }
 
 // newMABCWorker allocates a worker with every buffer at its maximum size.
-func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker {
+func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int) *mabcWorker {
 	maxN := n1
 	if n2 > maxN {
 		maxN = n2
 	}
 	w := &mabcWorker{
 		k: k, n1: n1, n2: n2,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed:    cfg.Seed,
 		maskMAC: prob.NewWordBernoulli(cfg.EpsMAC),
 		maskRA:  prob.NewWordBernoulli(cfg.EpsRA),
 		maskRB:  prob.NewWordBernoulli(cfg.EpsRB),
@@ -241,31 +212,17 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 	// shared buffer once.
 	w.solver.ReservePair(n2, k)
 	w.solver.Reserve(n1, k)
+	w.rng = rand.New(&w.src)
 	return w
 }
 
-// runTrial runs one block and tallies the outcome.
+// runTrial simulates block t. Its erasures are drawn 64 positions per mask
+// in the canonical batch order documented in erasure.go, from the stream of
+// trial t, so the outcome depends only on (Seed, t).
 //
 //bicoop:noalloc
-func (w *mabcWorker) runTrial() {
-	ok, relayOK := w.runBlock()
-	switch {
-	case ok:
-		w.successes++
-	case !relayOK:
-		w.relayFailures++
-	default:
-		w.terminalFailures++
-	}
-}
-
-// runBlock simulates one block. Returns (success, relayDecoded). Erasures
-// are drawn 64 positions per mask in the canonical batch order documented
-// in erasure.go, so results are bit-reproducible for a fixed (Seed, Trials,
-// Workers).
-//
-//bicoop:noalloc
-func (w *mabcWorker) runBlock() (bool, bool) {
+func (w *mabcWorker) runTrial(t int) outcome {
+	w.src.seedTrial(w.seed, t)
 	w.wa.Randomize(w.rng)
 	w.wb.Randomize(w.rng)
 	w.s.CopyPrefix(w.wa)
@@ -286,7 +243,7 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 		}
 	}
 	if err := w.solver.SolveConsistentInto(&w.sHat, w.k, w.rows, w.bits); err != nil || !w.sHat.Equal(w.s) {
-		return false, false
+		return relayFailed
 	}
 
 	// Phase 2 (broadcast): the relay re-encodes the XOR with a fresh code;
@@ -310,11 +267,14 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	w.appendBroadcast(false, true)
 	errA, errB := w.solver.SolvePairConsistentInto(&w.sAtA, &w.sAtB, w.k, w.rows, w.bits, na, len(w.rows)-shared)
 	if errA != nil || errB != nil {
-		return false, true
+		return terminalFailed
 	}
 	_ = w.sAtA.XorWith(w.wa) // terminal a strips wa, leaving its estimate of wb
 	_ = w.sAtB.XorWith(w.wb) // terminal b strips wb
-	return w.sAtA.Equal(w.wb) && w.sAtB.Equal(w.wa), true
+	if !w.sAtA.Equal(w.wb) || !w.sAtB.Equal(w.wa) {
+		return terminalFailed
+	}
+	return decoded
 }
 
 // appendBroadcast appends the broadcast equations at the positions whose

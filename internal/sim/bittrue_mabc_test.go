@@ -58,7 +58,6 @@ func TestRunBitTrueMABCWaterfall(t *testing.T) {
 			BlockLength: 3000,
 			Trials:      30,
 			Seed:        3,
-			Workers:     4, // pinned so results do not depend on GOMAXPROCS
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -22,16 +22,19 @@ var (
 // pinnedCounts is a run's outcome tally.
 type pinnedCounts struct{ successes, relay, terminal int }
 
+// pinWorkers are the worker counts every pinned tally is asserted at.
+var pinWorkers = []int{1, 2, 7}
+
 // TestBitTrueOutcomesPinned hard-codes the outcome counts of seeded
 // bit-true runs at the waterfall operating points, below (scale 0.9), at
 // (1.0, where relay and terminal failures mix with successes) and above
 // (1.1) the bound, at n=1200 (k=320..544, both sides of the GF(2) solver's
 // dense cutover, short relay systems from scale 1.0 on) and at n=4000
-// scale 0.9 (k=1068..1483), for Workers 1 and 2. The counts were
-// recorded before the solver's short-system exit, direct-indexed dense
-// elimination and retuned cutover; they are a pure function of (Seed,
-// Trials, Workers), so any solver change that alters a decode outcome —
-// not just its speed — fails here.
+// scale 0.9 (k=1068..1483). Each case's one tally is asserted at Workers 1,
+// 2 and 7. The counts are a pure function of (Seed, Trials), so any solver
+// change that alters a decode outcome — not just its speed — fails here.
+// They were re-recorded when trial-indexed streams replaced the per-worker
+// ones; the solver outcomes they pin are unchanged.
 func TestBitTrueOutcomesPinned(t *testing.T) {
 	mabcRate, mabcDurations := MABCComputeForwardBound(0.2, 0.15, 0.1)
 	cases := []struct {
@@ -39,19 +42,19 @@ func TestBitTrueOutcomesPinned(t *testing.T) {
 		scale  float64
 		n      int
 		trials int
-		want   [2]pinnedCounts // Workers 1, Workers 2
+		want   pinnedCounts
 	}{
-		{false, 0.9, 1200, 24, [2]pinnedCounts{{24, 0, 0}, {24, 0, 0}}},
-		{false, 1.0, 1200, 24, [2]pinnedCounts{{2, 18, 4}, {3, 19, 2}}},
-		{false, 1.1, 1200, 24, [2]pinnedCounts{{0, 24, 0}, {0, 24, 0}}},
-		{true, 0.9, 1200, 24, [2]pinnedCounts{{24, 0, 0}, {24, 0, 0}}},
-		{true, 1.0, 1200, 24, [2]pinnedCounts{{3, 13, 8}, {5, 12, 7}}},
-		{true, 1.1, 1200, 24, [2]pinnedCounts{{0, 24, 0}, {0, 24, 0}}},
-		{false, 0.9, 4000, 4, [2]pinnedCounts{{4, 0, 0}, {4, 0, 0}}},
-		{true, 0.9, 4000, 4, [2]pinnedCounts{{4, 0, 0}, {4, 0, 0}}},
+		{false, 0.9, 1200, 24, pinnedCounts{24, 0, 0}},
+		{false, 1.0, 1200, 24, pinnedCounts{1, 16, 7}},
+		{false, 1.1, 1200, 24, pinnedCounts{0, 24, 0}},
+		{true, 0.9, 1200, 24, pinnedCounts{24, 0, 0}},
+		{true, 1.0, 1200, 24, pinnedCounts{6, 13, 5}},
+		{true, 1.1, 1200, 24, pinnedCounts{0, 24, 0}},
+		{false, 0.9, 4000, 4, pinnedCounts{4, 0, 0}},
+		{true, 0.9, 4000, 4, pinnedCounts{4, 0, 0}},
 	}
 	for _, c := range cases {
-		for wi, workers := range []int{1, 2} {
+		for _, workers := range pinWorkers {
 			proto := "TDBC"
 			if c.mabc {
 				proto = "MABC"
@@ -87,8 +90,8 @@ func TestBitTrueOutcomesPinned(t *testing.T) {
 					}
 					got = pinnedCounts{res.Trials - res.RelayFailures - res.TerminalFailures, res.RelayFailures, res.TerminalFailures}
 				}
-				if got != c.want[wi] {
-					t.Errorf("(successes, relay failures, terminal failures) = %+v, want %+v", got, c.want[wi])
+				if got != c.want {
+					t.Errorf("(successes, relay failures, terminal failures) = %+v, want %+v", got, c.want)
 				}
 			})
 		}
@@ -100,23 +103,23 @@ func TestBitTrueOutcomesPinned(t *testing.T) {
 // half the block), one terminal's link leaves about as many equations as
 // unknowns and fails in a share of the blocks, and the other's is clean
 // enough that it always decodes. Both orientations run at n=1200 (k=396)
-// and n=4000 (k=1320), for Workers 1 and 2, so a decode outcome that
-// depends on which terminal owns the shared broadcast equations fails
-// here. The counts were recorded while each terminal still decoded the
-// broadcast on its own.
+// and n=4000 (k=1320), each asserted at Workers 1, 2 and 7, so a decode
+// outcome that depends on which terminal owns the shared broadcast
+// equations fails here. The counts were re-recorded when trial-indexed
+// streams replaced the per-worker ones.
 func TestBitTrueMABCAsymmetricPinned(t *testing.T) {
 	cases := []struct {
 		epsRA, epsRB float64
 		n, trials    int
-		want         [2]pinnedCounts // Workers 1, Workers 2
+		want         pinnedCounts
 	}{
-		{0.34, 0.02, 1200, 24, [2]pinnedCounts{{15, 0, 9}, {13, 0, 11}}},
-		{0.02, 0.34, 1200, 24, [2]pinnedCounts{{11, 0, 13}, {15, 0, 9}}},
-		{0.335, 0.02, 4000, 8, [2]pinnedCounts{{5, 0, 3}, {4, 0, 4}}},
-		{0.02, 0.335, 4000, 8, [2]pinnedCounts{{5, 0, 3}, {6, 0, 2}}},
+		{0.34, 0.02, 1200, 24, pinnedCounts{12, 0, 12}},
+		{0.02, 0.34, 1200, 24, pinnedCounts{7, 0, 17}},
+		{0.335, 0.02, 4000, 8, pinnedCounts{6, 0, 2}},
+		{0.02, 0.335, 4000, 8, pinnedCounts{7, 0, 1}},
 	}
 	for _, c := range cases {
-		for wi, workers := range []int{1, 2} {
+		for _, workers := range pinWorkers {
 			t.Run(fmt.Sprintf("ra%.3f/rb%.3f/n%d/workers%d", c.epsRA, c.epsRB, c.n, workers), func(t *testing.T) {
 				res, err := RunBitTrueMABC(context.Background(), MABCBitTrueConfig{
 					EpsMAC: 0.05, EpsRA: c.epsRA, EpsRB: c.epsRB,
@@ -131,8 +134,8 @@ func TestBitTrueMABCAsymmetricPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := pinnedCounts{res.Trials - res.RelayFailures - res.TerminalFailures, res.RelayFailures, res.TerminalFailures}
-				if got != c.want[wi] {
-					t.Errorf("(successes, relay failures, terminal failures) = %+v, want %+v", got, c.want[wi])
+				if got != c.want {
+					t.Errorf("(successes, relay failures, terminal failures) = %+v, want %+v", got, c.want)
 				}
 			})
 		}

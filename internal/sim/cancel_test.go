@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -22,15 +23,23 @@ func waitGoroutines(baseline int, d time.Duration) int {
 	return runtime.NumGoroutine()
 }
 
+// cancelOnProgress returns a context and a Progress callback that cancels
+// it at the first merged chunk, so the run stops mid-flight with a non-empty
+// prefix. (A fixed sleep races worker setup: a run cancelled before any
+// chunk completes rightly reports 0 trials.)
+func cancelOnProgress() (context.Context, func(done, total int)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return ctx, func(int, int) { cancel() }
+}
+
+// The cancellation tests also require a cancelled run's partial result to
+// equal, bit for bit, a fresh uncancelled run of the same spec with Trials
+// set to the partial count: a cancelled run covers a contiguous prefix of
+// whole chunks, so it is itself reproducible.
+
 func TestRunOutageCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res, err := RunOutage(ctx, OutageConfig{
+	cfg := OutageConfig{
 		Mean:      channel.GainsFromDB(-7, 0, 5),
 		P:         xmath.FromDB(10),
 		Protocols: []protocols.Protocol{protocols.MABC, protocols.TDBC, protocols.HBC},
@@ -38,7 +47,11 @@ func TestRunOutageCancelled(t *testing.T) {
 		Trials:    50_000_000, // far more than 20ms of work
 		Seed:      1,
 		Workers:   2,
-	})
+	}
+	start := time.Now()
+	ctx, progress := cancelOnProgress()
+	cfg.Progress = progress
+	res, err := RunOutage(ctx, cfg)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -56,6 +69,14 @@ func TestRunOutageCancelled(t *testing.T) {
 	if g := waitGoroutines(before, 2*time.Second); g > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, g)
 	}
+	cfg.Trials, cfg.Progress = st.Trials, nil
+	fresh, err := RunOutage(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, fresh) {
+		t.Errorf("cancelled run %+v differs from a fresh %d-trial run %+v", res.ByProtocol, st.Trials, fresh.ByProtocol)
+	}
 }
 
 func TestRunOutagePreCancelled(t *testing.T) {
@@ -72,30 +93,26 @@ func TestRunOutagePreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The cancellation watcher runs in its own goroutine, so a few trials
-	// may race ahead of the flag; the run must still report the canceled
-	// error and a consistent partial count.
-	if st := res.ByProtocol[protocols.MABC]; st.Trials < 0 || st.Trials > 1000 {
-		t.Errorf("pre-cancelled run reported %d trials", st.Trials)
+	// The context is checked before the first chunk runs.
+	if st := res.ByProtocol[protocols.MABC]; st.Trials != 0 {
+		t.Errorf("pre-cancelled run reported %d trials, want 0", st.Trials)
 	}
 }
 
 func TestRunBitTrueTDBCCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res, err := RunBitTrueTDBC(ctx, BitTrueConfig{
+	cfg := BitTrueConfig{
 		Net:         ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
 		Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
 		BlockLength: 1000,
 		Trials:      10_000_000,
 		Seed:        1,
 		Workers:     2,
-	})
+	}
+	start := time.Now()
+	ctx, progress := cancelOnProgress()
+	cfg.Progress = progress
+	res, err := RunBitTrueTDBC(ctx, cfg)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -112,23 +129,29 @@ func TestRunBitTrueTDBCCancelled(t *testing.T) {
 	if g := waitGoroutines(before, 2*time.Second); g > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, g)
 	}
+	cfg.Trials, cfg.Progress = res.Trials, nil
+	fresh, err := RunBitTrueTDBC(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, fresh) {
+		t.Errorf("cancelled run %+v differs from a fresh %d-trial run %+v", res, res.Trials, fresh)
+	}
 }
 
 func TestRunBitTrueMABCCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res, err := RunBitTrueMABC(ctx, MABCBitTrueConfig{
+	cfg := MABCBitTrueConfig{
 		EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1,
 		Rate:        0.3,
 		BlockLength: 1000,
 		Trials:      10_000_000,
 		Seed:        1,
 		Workers:     2,
-	})
+	}
+	ctx, progress := cancelOnProgress()
+	cfg.Progress = progress
+	res, err := RunBitTrueMABC(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -137,6 +160,14 @@ func TestRunBitTrueMABCCancelled(t *testing.T) {
 	}
 	if g := waitGoroutines(before, 2*time.Second); g > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, g)
+	}
+	cfg.Trials, cfg.Progress = res.Trials, nil
+	fresh, err := RunBitTrueMABC(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, fresh) {
+		t.Errorf("cancelled run %+v differs from a fresh %d-trial run %+v", res, res.Trials, fresh)
 	}
 }
 
@@ -161,37 +192,40 @@ func TestRunOutageNilContextSafe(t *testing.T) {
 	}
 }
 
-// TestProgressReporting checks the batched progress contract: cumulative,
-// monotonic per observation under the serialization the caller provides,
-// and exact at completion.
+// TestProgressReporting checks the progress contract: the emitter merges
+// chunks in order and reports from one goroutine, so observations are
+// serialized, strictly increasing and end exactly at Trials, whatever the
+// worker count.
 func TestProgressReporting(t *testing.T) {
-	var got []int
-	res, err := RunBitTrueTDBC(context.Background(), BitTrueConfig{
-		Net:         ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
-		Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
-		BlockLength: 200,
-		Trials:      100,
-		Seed:        1,
-		Workers:     1, // single worker: callbacks arrive serialized
-		Progress: func(done, total int) {
-			if total != 100 {
-				t.Errorf("total = %d, want 100", total)
+	for _, workers := range []int{1, 4} {
+		var got []int
+		res, err := RunBitTrueTDBC(context.Background(), BitTrueConfig{
+			Net:         ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+			Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
+			BlockLength: 200,
+			Trials:      100,
+			Seed:        1,
+			Workers:     workers,
+			Progress: func(done, total int) {
+				if total != 100 {
+					t.Errorf("total = %d, want 100", total)
+				}
+				got = append(got, done) // unsynchronized: the race detector checks serialization
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trials != 100 {
+			t.Fatalf("workers %d: Trials = %d, want 100", workers, res.Trials)
+		}
+		if len(got) == 0 || got[len(got)-1] != 100 {
+			t.Fatalf("workers %d: progress observations %v, want final 100", workers, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Errorf("workers %d: progress not increasing: %v", workers, got)
 			}
-			got = append(got, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 100 {
-		t.Fatalf("Trials = %d, want 100", res.Trials)
-	}
-	if len(got) == 0 || got[len(got)-1] != 100 {
-		t.Fatalf("progress observations %v, want final 100", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Errorf("progress not increasing: %v", got)
 		}
 	}
 }

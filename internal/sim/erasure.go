@@ -12,11 +12,13 @@ package sim
 // drawn batch by batch in phase order, and within a batch in a fixed
 // documented link order (TDBC: a-r then a-b in phase 1, b-r then a-b in
 // phase 2, a-r then b-r in phase 3; MABC: the MAC phase, then every r-a
-// batch of the broadcast before every r-b batch). The
-// stream differs from the retired scalar engine's one-Float64-per-position
-// stream, so a given seed produces a different — equally valid — sample
-// path than releases that predate the word-parallel kernel. Determinism is
-// unchanged: results are a pure function of (Seed, Trials, Workers).
+// batch of the broadcast before every r-b batch), all from the stream of
+// the block's trial index (trials.go). The stream differs from the retired
+// scalar engine's one-Float64-per-position stream and from the retired
+// per-worker streams, so a given seed produces a different — equally valid
+// — sample path than older releases. Results are a function of (Seed,
+// Trials) only: Workers changes only speed, and a cancelled run stops
+// within one chunk.
 
 // liveLanes returns the live-lane mask for the 64-lane batch starting at
 // base in a length-n phase: all ones except in the final partial batch.

@@ -1,16 +1,18 @@
 // Package sim provides the Monte Carlo layer of the reproduction: a
 // quasi-static Rayleigh block-fading simulator for the Gaussian model of
-// Section IV (ergodic adaptive-rate throughput and fixed-rate outage), and a
-// bit-true simulator of the TDBC protocol over an erasure network that
-// executes the actual random-coding/binning/XOR machinery of Theorem 3 with
-// random linear codes.
+// Section IV (ergodic adaptive-rate throughput and fixed-rate outage), and
+// bit-true simulators of the TDBC and compute-and-forward MABC protocols
+// over erasure networks that execute the actual random-coding/binning/XOR
+// machinery of Theorem 3 with random linear codes.
 //
-// All simulators are deterministic given a seed: trials are sharded across a
-// bounded worker pool, each worker owning a private RNG derived from the
-// seed, and partial results are merged after the pool drains. Each worker
-// also owns a protocols.Evaluator and accumulates into preallocated slices,
-// so the per-block path (draw fading, re-solve the duration LP per protocol,
-// probe target feasibility) performs no steady-state heap allocation.
+// Every simulator runs its trials as fixed-size chunks on sweep.RunCore
+// (trials.go), and trial t draws from a random stream seeded from (Seed, t),
+// so results are a function of (Seed, Trials) only: Workers changes only
+// speed, and a cancelled run stops within one chunk. Each worker owns a
+// protocols.Evaluator (or its codes and GF(2) solver) and accumulates into
+// preallocated storage, so the per-block path (draw fading, re-solve the
+// duration LP per protocol, probe target feasibility) performs no
+// steady-state heap allocation.
 package sim
 
 import (
@@ -18,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/channel"
 	"bicoop/internal/protocols"
@@ -30,11 +30,6 @@ var (
 	ErrNoTrials  = errors.New("sim: trials must be positive")
 	ErrNoTargets = errors.New("sim: no protocols requested")
 )
-
-// workerSeedStride separates the deterministic per-worker RNG streams: every
-// sharded simulator in this package seeds worker w with Seed + w*stride, so
-// worker 0 of any pool reproduces the corresponding sequential run.
-const workerSeedStride int64 = 0x9e3779b9
 
 // OutageConfig parameterizes a fading Monte Carlo run.
 type OutageConfig struct {
@@ -50,13 +45,15 @@ type OutageConfig struct {
 	Target protocols.RatePair
 	// Trials is the number of fading blocks.
 	Trials int
-	// Seed makes the run reproducible.
+	// Seed makes the run reproducible: results are a function of (Seed,
+	// Trials) only, since trial t draws from a stream seeded from (Seed, t).
 	Seed int64
-	// Workers bounds the worker pool; non-positive means GOMAXPROCS.
+	// Workers bounds the goroutines running trial chunks; non-positive
+	// means GOMAXPROCS. It changes only speed, never results.
 	Workers int
 	// Progress, when non-nil, is invoked with the cumulative completed trial
-	// count at stride granularity (see runGate). Invocations are serialized
-	// and the reported count is strictly increasing.
+	// count once per merged chunk. Invocations are serialized and the
+	// reported count is strictly increasing, ending at Trials.
 	Progress func(done, total int)
 }
 
@@ -84,46 +81,52 @@ func (cfg OutageConfig) hasTarget() bool {
 	return cfg.Target.Ra > 0 || cfg.Target.Rb > 0
 }
 
-// outageWorker owns one goroutine's share of the Monte Carlo: a private
-// fading stream, a reusable protocol evaluator, and accumulation buffers
-// indexed by protocol position (not maps) so a trial costs no allocation.
+// outageWorker is one worker's Monte Carlo state: a fading stream reseeded
+// per trial, a reusable protocol evaluator, and the current chunk's
+// accumulators indexed by protocol position (not maps) so a trial costs no
+// allocation.
 type outageWorker struct {
 	protos    []protocols.Protocol
 	p         float64
 	target    protocols.RatePair
 	hasTarget bool
 	ev        *protocols.Evaluator
+	seed      int64
+	src       trialSource
 	fading    *channel.Fading
 	sum       []float64
 	outages   []int
-	trials    int
 }
 
-// newOutageWorker derives worker w's deterministic stream from the run seed.
-func newOutageWorker(cfg OutageConfig, w int) (*outageWorker, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*workerSeedStride))
-	fading, err := channel.NewFading(cfg.Mean, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &outageWorker{
+// newOutageWorker builds a worker with its own accumulators; RunOutage
+// points them at each chunk's storage. cfg.Mean must already be valid.
+func newOutageWorker(cfg OutageConfig) *outageWorker {
+	w := &outageWorker{
 		protos:    cfg.Protocols,
 		p:         cfg.P,
 		target:    cfg.Target,
 		hasTarget: cfg.hasTarget(),
 		ev:        protocols.NewEvaluator(),
-		fading:    fading,
+		seed:      cfg.Seed,
 		sum:       make([]float64, len(cfg.Protocols)),
 		outages:   make([]int, len(cfg.Protocols)),
-	}, nil
+	}
+	fading, err := channel.NewFading(cfg.Mean, rand.New(&w.src))
+	if err != nil {
+		// Unreachable: the gains were validated and the generator is set.
+		panic(err)
+	}
+	w.fading = fading
+	return w
 }
 
-// runTrial simulates one fading block: draw instantaneous gains, evaluate
-// the closed-form link informations once, then re-solve the optimal-duration
-// sum-rate LP for every protocol and probe the fixed target's feasibility.
-// This is the per-block kernel the allocation regression tests and
-// BenchmarkOutageTrial measure.
-func (w *outageWorker) runTrial() error {
+// runTrial simulates fading block t: reseed the stream for trial t, draw
+// instantaneous gains, evaluate the closed-form link informations once,
+// then re-solve the optimal-duration sum-rate LP for every protocol and
+// probe the fixed target's feasibility. This is the per-block kernel the
+// allocation regression tests and BenchmarkOutageTrial measure.
+func (w *outageWorker) runTrial(t int) error {
+	w.src.seedTrial(w.seed, t)
 	inst := w.fading.Draw()
 	li, err := protocols.LinkInfosFromScenario(protocols.Scenario{P: w.p, G: inst})
 	if err != nil {
@@ -145,14 +148,13 @@ func (w *outageWorker) runTrial() error {
 			}
 		}
 	}
-	w.trials++
 	return nil
 }
 
-// RunOutage executes the fading Monte Carlo. Cancelling ctx stops every
-// worker within one trial; the merged statistics over the trials completed
-// so far are returned alongside the (wrapped) context error, so callers can
-// report partial results.
+// RunOutage executes the fading Monte Carlo. Cancelling ctx stops the run
+// within one chunk; the statistics over the completed prefix of trials are
+// returned alongside the (wrapped) error, so callers can report partial
+// results. They equal an uncancelled run's with Trials set to that prefix.
 func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 	if cfg.Trials <= 0 {
 		return OutageResult{}, ErrNoTrials
@@ -163,65 +165,40 @@ func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 	if err := (protocols.Scenario{P: cfg.P, G: cfg.Mean}).Validate(); err != nil {
 		return OutageResult{}, fmt.Errorf("sim: %w", err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	hasTarget := cfg.hasTarget()
-
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*outageWorker, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := cfg.Trials * w / workers
-		hi := cfg.Trials * (w + 1) / workers
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			wk, err := newOutageWorker(cfg, w)
-			if err != nil {
-				errs[w] = err
-				return
+	np := len(cfg.Protocols)
+	chunks := (cfg.Trials + fadingChunk - 1) / fadingChunk
+	sums, outs := make([]float64, chunks*np), make([]int, chunks*np)
+	sum, outages := make([]float64, np), make([]int, np)
+	done, runErr := runTrials(ctx, cfg.Trials, cfg.Workers, fadingChunk, cfg.Progress,
+		func() *outageWorker { return newOutageWorker(cfg) },
+		func(w *outageWorker, c, lo, hi int) error {
+			w.sum, w.outages = sums[c*np:(c+1)*np], outs[c*np:(c+1)*np]
+			clear(w.sum)
+			clear(w.outages)
+			for t := lo; t < hi; t++ {
+				if err := w.runTrial(t); err != nil {
+					return err
+				}
 			}
-			parts[w] = wk
-			_, errs[w] = gate.run(count, wk.runTrial)
-		}(w, hi-lo)
-	}
-	wg.Wait()
+			return nil
+		},
+		func(c int) {
+			for pi := range sum {
+				sum[pi] += sums[c*np+pi]
+				outages[pi] += outs[c*np+pi]
+			}
+		})
 
-	for _, err := range errs {
-		if err != nil {
-			return OutageResult{}, fmt.Errorf("sim: worker failed: %w", err)
-		}
-	}
-	out := OutageResult{ByProtocol: make(map[protocols.Protocol]OutageStats, len(cfg.Protocols))}
-	total := 0
-	for _, pt := range parts {
-		total += pt.trials
-	}
+	out := OutageResult{ByProtocol: make(map[protocols.Protocol]OutageStats, np)}
 	for pi, proto := range cfg.Protocols {
-		var sum float64
-		var outs int
-		for _, pt := range parts {
-			sum += pt.sum[pi]
-			outs += pt.outages[pi]
-		}
-		st := OutageStats{Trials: total}
-		if total > 0 {
-			st.MeanOptSumRate = sum / float64(total)
-			if hasTarget {
-				st.OutageProb = float64(outs) / float64(total)
+		st := OutageStats{Trials: done}
+		if done > 0 {
+			st.MeanOptSumRate = sum[pi] / float64(done)
+			if cfg.hasTarget() {
+				st.OutageProb = float64(outages[pi]) / float64(done)
 			}
 		}
 		out.ByProtocol[proto] = st
 	}
-	if err := ctxErr(ctx); err != nil {
-		return out, fmt.Errorf("sim: %w", err)
-	}
-	return out, nil
+	return out, runErr
 }

@@ -21,30 +21,29 @@ func benchOutageConfig() OutageConfig {
 }
 
 // TestOutageTrialZeroAllocs is the allocation-regression gate for the
-// Monte Carlo per-block path: one fading draw plus a sum-rate LP and a
-// feasibility probe per protocol must not allocate in steady state.
+// Monte Carlo per-block path: the per-trial stream reseed, one fading draw,
+// and a sum-rate LP and a feasibility probe per protocol must not allocate
+// in steady state.
 func TestOutageTrialZeroAllocs(t *testing.T) {
-	w, err := newOutageWorker(benchOutageConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
+	w := newOutageWorker(benchOutageConfig())
+	trial := 0
+	run := func() {
+		if err := w.runTrial(trial); err != nil {
+			t.Fatal(err)
+		}
+		trial++
 	}
 	// Warm the evaluator workspaces.
-	for i := 0; i < 3; i++ {
-		if err := w.runTrial(); err != nil {
-			t.Fatal(err)
-		}
+	for trial < 3 {
+		run()
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := w.runTrial(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
+	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("outage trial allocates %.1f/op, want 0", n)
 	}
 }
 
-// TestOutageWorkerMatchesRunOutage cross-checks that the sharded run is the
-// deterministic sum of its per-worker trials.
+// TestOutageWorkerMatchesRunOutage cross-checks that a run within one chunk
+// is exactly the trial-by-trial replay of its streams on one worker.
 func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 	cfg := benchOutageConfig()
 	cfg.Trials = 50
@@ -52,38 +51,35 @@ func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newOutageWorker(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newOutageWorker(cfg)
 	for i := 0; i < cfg.Trials; i++ {
-		if err := w.runTrial(); err != nil {
+		if err := w.runTrial(i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for pi, proto := range cfg.Protocols {
-		want := w.sum[pi] / float64(w.trials)
-		got := res.ByProtocol[proto].MeanOptSumRate
-		if !xmath.ApproxEqual(got, want, 1e-12) {
-			t.Errorf("%v: RunOutage mean %g vs worker replay %g", proto, got, want)
+		st := res.ByProtocol[proto]
+		want := w.sum[pi] / float64(cfg.Trials)
+		wantOut := float64(w.outages[pi]) / float64(cfg.Trials)
+		if st.MeanOptSumRate != want || st.OutageProb != wantOut {
+			t.Errorf("%v: RunOutage (%g, %g) vs worker replay (%g, %g)",
+				proto, st.MeanOptSumRate, st.OutageProb, want, wantOut)
 		}
 	}
 }
 
 // BenchmarkOutageTrial measures one fading block across three protocols
-// (the steady-state Monte Carlo kernel, excluding worker setup).
+// (the steady-state Monte Carlo kernel including the per-trial reseed,
+// excluding worker setup).
 func BenchmarkOutageTrial(b *testing.B) {
-	w, err := newOutageWorker(benchOutageConfig(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.runTrial(); err != nil {
+	w := newOutageWorker(benchOutageConfig())
+	if err := w.runTrial(0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.runTrial(); err != nil {
+		if err := w.runTrial(i); err != nil {
 			b.Fatal(err)
 		}
 	}

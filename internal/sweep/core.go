@@ -1,8 +1,9 @@
 package sweep
 
 // core.go — the workload-generic sharded execution core. Run (the
-// evaluator-grid entry point in sweep.go), RegionBatch (region.go) and the
-// facade's simulation campaigns all execute through RunCore: an indexed
+// evaluator-grid entry point in sweep.go), RegionBatch (region.go), the
+// Monte Carlo simulators' trial chunks (internal/sim) and the facade's
+// simulation campaigns all execute through RunCore: an indexed
 // point set is split into fixed-size chunks pulled by a worker pool, each
 // worker owning private state W supplied by Hooks and reset at every chunk
 // boundary, with an ordered streaming emitter under bounded backpressure.
@@ -17,11 +18,10 @@ package sweep
 //     order, with at most ~2×workers chunks of results live (ticket
 //     semaphore), so streaming consumers hold O(workers) chunks, not the
 //     whole point set;
-//   - cancellation follows internal/sim's runGate pattern: a
-//     context.AfterFunc flips one atomic flag polled per chunk, the pool
-//     drains within one chunk per worker, and the contiguous prefix of
-//     completed (and emitted) points is reported alongside the context
-//     error.
+//   - cancellation: a context.AfterFunc flips one atomic flag polled per
+//     chunk, the pool drains within one chunk per worker, and the
+//     contiguous prefix of completed (and emitted) points is reported
+//     alongside the context error.
 
 import (
 	"context"

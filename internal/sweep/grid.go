@@ -8,7 +8,6 @@ import (
 	"bicoop/internal/cache"
 	"bicoop/internal/channel"
 	"bicoop/internal/protocols"
-	"bicoop/internal/sim"
 	"bicoop/internal/xmath"
 )
 
@@ -170,7 +169,7 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 		g.gaussN = len(g.powers) * len(g.places) * len(g.protos)
 	}
 	for i, e := range spec.Erasures {
-		net := sim.ErasureNetwork{EpsAR: e.EpsAR, EpsBR: e.EpsBR, EpsAB: e.EpsAB}
+		net := protocols.ErasureNetwork{EpsAR: e.EpsAR, EpsBR: e.EpsBR, EpsAB: e.EpsAB}
 		if err := net.Validate(); err != nil {
 			return resolvedGrid{}, fmt.Errorf("%w: erasure %d: %w", ErrSpec, i, err)
 		}

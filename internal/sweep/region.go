@@ -8,7 +8,7 @@ package sweep
 // direction of every curve is one point — and runs it through RunCore, so
 // the angle axis shards exactly like the grid axes: fixed 64-point chunks,
 // per-worker warm evaluators reset at chunk boundaries, bounded streaming,
-// runGate cancellation. Completed curves are assembled and streamed in
+// per-chunk cancellation. Completed curves are assembled and streamed in
 // enumeration order; results are bit-identical for every worker count.
 
 import (

@@ -11,13 +11,12 @@
 // This file instantiates the core for the evaluator-grid workloads (Run,
 // Batch, Sweep): each worker owns a warm protocols.Evaluator whose LP
 // warm-start state is the per-chunk reset. region.go instantiates it for
-// rate-region support sweeps; the facade instantiates it (stateless) for
-// simulation campaigns.
+// rate-region support sweeps; internal/sim instantiates it for the Monte
+// Carlo trial chunks, and the facade (stateless) for simulation campaigns.
 //
-// Cancellation follows internal/sim's runGate pattern: a context.AfterFunc
-// flips one atomic flag the workers poll per chunk, so an uncancelled run
-// never touches the context's mutex on the hot path and a cancelled one
-// stops within a chunk. The contiguous prefix of completed points is
+// Cancellation: a context.AfterFunc flips one atomic flag the workers poll
+// per chunk, so an uncancelled run never touches the context's mutex on the
+// hot path and a cancelled one stops within a chunk. The contiguous prefix of completed points is
 // reported alongside the context error, so callers can return partial
 // results.
 package sweep
@@ -98,7 +97,7 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ctxErr mirrors internal/sim's post-drain context check: the result always
+// ctxErr is the post-drain context check: the result always
 // satisfies errors.Is(err, ctx.Err()) and additionally wraps a distinct
 // cancellation cause when one was supplied.
 func ctxErr(ctx context.Context) error {

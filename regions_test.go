@@ -179,10 +179,10 @@ func TestSimulateBatchStreamsAndValidates(t *testing.T) {
 			t.Fatalf("streaming order %v, want ascending", order)
 		}
 	}
-	// Each campaign entry must equal the same spec run alone with the
-	// campaign's inner default (one trial goroutine).
+	// Each campaign entry must equal the same spec run alone, at any worker
+	// count.
 	for i, s := range specs {
-		s.Workers = 1
+		s.Workers = 3
 		solo, err := eng.Simulate(ctx, s)
 		if err != nil {
 			t.Fatal(err)

@@ -115,44 +115,50 @@ func TestRegionBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestCampaignBitIdenticalAcrossWorkers pins the campaign determinism
 // contract: the merged statistics of every run in a mixed fading/bit-true
-// campaign are identical for every outer worker count, because each spec
-// carries its own seed and a pinned inner worker count.
+// campaign are identical for every outer × inner worker count, because each
+// spec carries its own seed and every trial draws from a stream keyed by
+// (Seed, trial). Inner Workers 0 resolves to the engine default, like
+// Simulate.
 func TestCampaignBitIdenticalAcrossWorkers(t *testing.T) {
 	scen := bicoop.Scenario{PowerDB: 5, GabDB: -7, GarDB: 0, GbrDB: 5}
 	links := bicoop.ErasureLinks{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}
-	var specs []bicoop.SimSpec
-	for i := 0; i < 5; i++ {
-		specs = append(specs, bicoop.SimSpec{
-			Fading: &bicoop.FadingSpec{Scenario: scen, Target: bicoop.RatePoint{Ra: 0.5, Rb: 0.5}},
-			Trials: 120,
-			Seed:   int64(100 + i),
-		})
-		specs = append(specs, bicoop.SimSpec{
-			BitTrueTDBC: &bicoop.BitTrueTDBCSpec{Links: links, Rates: bicoop.RatePoint{Ra: 0.15, Rb: 0.15}, BlockLength: 400},
-			Trials:      6,
-			Seed:        int64(200 + i),
-			Workers:     3, // explicit inner sharding stays deterministic too
-		})
+	specs := func(inner int) []bicoop.SimSpec {
+		var specs []bicoop.SimSpec
+		for i := 0; i < 5; i++ {
+			specs = append(specs, bicoop.SimSpec{
+				Fading:  &bicoop.FadingSpec{Scenario: scen, Target: bicoop.RatePoint{Ra: 0.5, Rb: 0.5}},
+				Trials:  300, // several fading chunks, so inner sharding reorders them
+				Seed:    int64(100 + i),
+				Workers: inner,
+			}, bicoop.SimSpec{
+				BitTrueTDBC: &bicoop.BitTrueTDBCSpec{Links: links, Rates: bicoop.RatePoint{Ra: 0.15, Rb: 0.15}, BlockLength: 400},
+				Trials:      20,
+				Seed:        int64(200 + i),
+				Workers:     inner,
+			})
+		}
+		return specs
 	}
 	ctx := context.Background()
-	run := func(workers int) []bicoop.SimResult {
-		t.Helper()
-		res, err := bicoop.NewEngine().SimulateBatch(ctx, bicoop.CampaignSpec{Specs: specs, Workers: workers}, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res) != len(specs) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(res), len(specs))
-		}
-		return res
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 7} {
-		got := run(workers)
-		for i := range ref {
-			if !reflect.DeepEqual(got[i], ref[i]) {
-				t.Fatalf("workers=%d: campaign result %d differs:\n  got  %+v\n  want %+v",
-					workers, i, got[i], ref[i])
+	var ref []bicoop.SimResult
+	for _, outer := range []int{1, 2, 7} {
+		for _, inner := range []int{0, 1, 3} {
+			got, err := bicoop.NewEngine().SimulateBatch(ctx, bicoop.CampaignSpec{Specs: specs(inner), Workers: outer}, nil)
+			if err != nil {
+				t.Fatalf("outer %d, inner %d: %v", outer, inner, err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("outer %d, inner %d: %d results, want %d", outer, inner, len(got), len(ref))
+			}
+			for i := range ref {
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Fatalf("outer %d, inner %d: campaign result %d differs:\n  got  %+v\n  want %+v",
+						outer, inner, i, got[i], ref[i])
+				}
 			}
 		}
 	}

@@ -5,9 +5,10 @@ package bicoop
 // bit-true compute-and-forward MABC) diverged in how they took trial
 // counts, seeds, worker pools and reported progress; Engine.Simulate folds
 // them behind one SimSpec with a single run contract: Trials/Seed/Workers
-// and the Progress callback live on the spec, the context bounds the run,
-// and cancellation stops the shard loops within one trial, returning the
-// statistics over the trials completed so far.
+// and the Progress callback live on the spec, results are a function of
+// (Seed, Trials) only, the context bounds the run, and cancellation stops it
+// within one chunk of trials, returning the statistics over the completed
+// prefix.
 
 import (
 	"context"
@@ -21,10 +22,10 @@ import (
 )
 
 // ProgressFunc observes a simulation's completed trial count. Invocations
-// are serialized with the count update, so implementations need no locking
-// and done is strictly increasing; it is cumulative across the whole run
-// and may advance by more than one between calls (workers batch their
-// updates).
+// come from one goroutine as chunks are merged in order, so implementations
+// need no locking and done is strictly increasing; it is cumulative across
+// the whole run, advances one chunk of trials per call, and ends at the
+// trial count.
 type ProgressFunc func(done, total int)
 
 // FadingSpec selects the quasi-static Rayleigh fading Monte Carlo: per
@@ -83,12 +84,12 @@ type SimSpec struct {
 	// simulator's default (2000); the bit-true simulators have no default
 	// and reject zero. Negative is always ErrInvalidTrials.
 	Trials int
-	// Seed drives the run deterministically for a fixed (Seed, Trials,
-	// Workers) triple.
+	// Seed drives the run deterministically: trial t draws from a stream
+	// seeded from (Seed, t), so results are a function of (Seed, Trials).
 	Seed int64
-	// Workers bounds the goroutines sharding the trials; zero uses the
-	// engine's WithWorkers default, which itself defaults to GOMAXPROCS.
-	// Changing Workers reshards the per-trial random streams.
+	// Workers bounds the goroutines running chunks of trials; zero uses the
+	// engine's WithWorkers default, which itself defaults to GOMAXPROCS. It
+	// changes only speed, never results.
 	Workers int
 	// Progress, when non-nil, observes the cumulative completed trial
 	// count. Invocations are serialized by the engine.
@@ -169,20 +170,21 @@ func validateDurations(durations []float64, phases int) error {
 }
 
 // Simulate runs the simulator selected by spec under the common run
-// contract. Cancelling ctx stops the worker pool within one trial (far
-// finer than shard granularity); the statistics over the trials completed
-// so far are returned alongside the context error, so callers can report
-// partial results.
+// contract. Cancelling ctx stops the run within one chunk of trials; the
+// statistics over the completed prefix are returned alongside the context
+// error, so callers can report partial results. They equal an uncancelled
+// run's with Trials set to the reported count.
 func (e *Engine) Simulate(ctx context.Context, spec SimSpec) (SimResult, error) {
 	if err := spec.validate(); err != nil {
 		return SimResult{}, err
 	}
-	return e.runSim(ctx, spec, e.resolveWorkers(spec.Workers))
+	return e.runSim(ctx, spec)
 }
 
-// runSim dispatches a validated spec to its simulator with a resolved
-// worker count.
-func (e *Engine) runSim(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
+// runSim dispatches a validated spec to its simulator, resolving its worker
+// count against the engine default.
+func (e *Engine) runSim(ctx context.Context, spec SimSpec) (SimResult, error) {
+	workers := e.resolveWorkers(spec.Workers)
 	switch {
 	case spec.Fading != nil:
 		return e.simulateFading(ctx, spec, workers)
@@ -297,15 +299,13 @@ func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers 
 type CampaignSpec struct {
 	// Specs are the runs, executed with deterministic per-spec seeds (each
 	// spec's own Seed) so the campaign's merged statistics are bit-identical
-	// for every outer worker count.
+	// for every outer and inner worker count.
 	Specs []SimSpec
 	// Workers bounds how many runs execute concurrently (the outer pool);
-	// zero uses the engine's WithWorkers default, then GOMAXPROCS. Inside a
-	// campaign, a spec whose own Workers field is zero runs its trials on
-	// ONE goroutine — not the engine default — so resharding the campaign
-	// (or moving it across machines) can never change a per-trial random
-	// stream. Set a spec's Workers explicitly to shard its trials; results
-	// then stay deterministic per (Seed, Trials, Workers) as usual.
+	// zero uses the engine's WithWorkers default, then GOMAXPROCS. Each
+	// spec's own Workers resolves exactly as in Simulate; since a run is a
+	// function of its (Seed, Trials) only, neither worker count changes a
+	// result.
 	//
 	// Progress caveat: each spec's Progress callback keeps its serialized,
 	// strictly-increasing contract within that spec's run, but with
@@ -349,9 +349,10 @@ func (spec CampaignSpec) Validate() error {
 // yield (when non-nil) in spec order regardless of completion order, and
 // the collected results are returned in the same order. A spec error halts
 // the campaign with the first error in spec order; cancelling ctx stops
-// every in-flight run within one trial. On early stop the returned slice
-// holds the contiguous prefix of fully completed runs (a run interrupted
-// mid-flight is discarded — campaign results are always whole runs).
+// every in-flight run within one chunk of trials. On early stop the returned
+// slice holds the contiguous prefix of fully completed runs (a run
+// interrupted mid-flight is discarded — campaign results are always whole
+// runs).
 func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield func(i int, r SimResult) error) ([]SimResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -375,12 +376,7 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 		sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				s := spec.Specs[i]
-				workers := s.Workers
-				if workers <= 0 {
-					workers = 1 // campaign determinism default (see CampaignSpec.Workers)
-				}
-				res, err := e.runSim(ctx, s, workers)
+				res, err := e.runSim(ctx, spec.Specs[i])
 				if err != nil {
 					return fmt.Errorf("spec %d: %w", i, err)
 				}
