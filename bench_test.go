@@ -367,9 +367,9 @@ func BenchmarkRegionParallel(b *testing.B) {
 
 // BenchmarkCampaign measures Engine.SimulateBatch over a fading seed
 // family — the outer sharded sweep that pipelines whole Monte Carlo runs
-// (deterministic per-spec seeds). Each 100-trial spec is a single fading
-// chunk, so it runs on RunCore's sequential path whatever its inner worker
-// count resolves to.
+// (deterministic per-spec seeds). Each spec's inner pool defaults to one
+// goroutine inside a campaign, and a 100-trial spec is a single fading
+// chunk anyway, so every run takes RunCore's sequential path.
 func BenchmarkCampaign(b *testing.B) {
 	eng := bicoop.NewEngine()
 	scen := bicoop.Scenario{PowerDB: 5, GabDB: -7, GarDB: 0, GbrDB: 5}

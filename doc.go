@@ -275,7 +275,9 @@
 // tallies merge in chunk order, so every simulation result is a function of
 // (Seed, Trials) only. Campaigns keep it one level up: every SimSpec
 // carries its own seed, so campaign statistics depend on neither the outer
-// nor any inner worker count, nor on the host's core count.
+// nor any inner worker count, nor on the host's core count. (Inside a
+// campaign a spec's zero Workers means one goroutine: the outer pool
+// already fills the cores, so this default only saves nested worker state.)
 // The figure pipeline streams: experiments consume sweep points through
 // callbacks, tables accumulate raw floats (plot.ColumnTable) and format
 // once at render time, and each canonical figure emits a text+CSV artifact

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -225,6 +226,74 @@ func TestProgressReporting(t *testing.T) {
 		for i := 1; i < len(got); i++ {
 			if got[i] <= got[i-1] {
 				t.Errorf("workers %d: progress not increasing: %v", workers, got)
+			}
+		}
+	}
+}
+
+// TestPreCancelledHugeRunBoundedMemory pins that a run's tally storage is
+// O(workers), not O(Trials): a pre-cancelled run asking for far more trials
+// than could ever complete allocates about what its worker states cost,
+// and a trial count of MaxInt does not overflow the chunk arithmetic.
+func TestPreCancelledHugeRunBoundedMemory(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs := []struct {
+		name   string
+		trials int // per-chunk tallies for every chunk would take ~60 MB
+		run    func(trials int) (int, error)
+	}{
+		{"fading", 100_000_000, func(trials int) (int, error) {
+			res, err := RunOutage(ctx, OutageConfig{
+				Mean:      channel.GainsFromDB(-7, 0, 5),
+				P:         xmath.FromDB(10),
+				Protocols: []protocols.Protocol{protocols.MABC, protocols.TDBC, protocols.HBC},
+				Target:    protocols.RatePair{Ra: 0.5, Rb: 0.5},
+				Trials:    trials,
+				Seed:      1,
+				Workers:   2,
+			})
+			return res.ByProtocol[protocols.MABC].Trials, err
+		}},
+		{"tdbc", 10_000_000, func(trials int) (int, error) {
+			res, err := RunBitTrueTDBC(ctx, BitTrueConfig{
+				Net:         ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+				Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
+				BlockLength: 200,
+				Trials:      trials,
+				Seed:        1,
+				Workers:     2,
+			})
+			return res.Trials, err
+		}},
+		{"mabc", 10_000_000, func(trials int) (int, error) {
+			res, err := RunBitTrueMABC(ctx, MABCBitTrueConfig{
+				EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1,
+				Rate:        0.3,
+				BlockLength: 200,
+				Trials:      trials,
+				Seed:        1,
+				Workers:     2,
+			})
+			return res.Trials, err
+		}},
+	}
+	for _, r := range runs {
+		for _, trials := range []int{r.trials, math.MaxInt} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			done, err := r.run(trials)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, %d trials: err = %v, want context.Canceled", r.name, trials, err)
+			}
+			if done < 0 || done >= trials {
+				t.Errorf("%s, %d trials: reported %d trials", r.name, trials, done)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s, %d trials: %d bytes", r.name, trials, got)
+			if got > 1<<20 {
+				t.Errorf("%s, %d trials: pre-cancelled run allocated %d bytes, want O(workers)", r.name, trials, got)
 			}
 		}
 	}

@@ -81,10 +81,19 @@ func (cfg OutageConfig) hasTarget() bool {
 	return cfg.Target.Ra > 0 || cfg.Target.Rb > 0
 }
 
+// outageTally accumulates fading trials, indexed by protocol position (not
+// maps) so a trial costs no allocation.
+type outageTally struct {
+	sum     []float64
+	outages []int
+}
+
+func newOutageTally(np int) *outageTally {
+	return &outageTally{sum: make([]float64, np), outages: make([]int, np)}
+}
+
 // outageWorker is one worker's Monte Carlo state: a fading stream reseeded
-// per trial, a reusable protocol evaluator, and the current chunk's
-// accumulators indexed by protocol position (not maps) so a trial costs no
-// allocation.
+// per trial and a reusable protocol evaluator.
 type outageWorker struct {
 	protos    []protocols.Protocol
 	p         float64
@@ -94,12 +103,9 @@ type outageWorker struct {
 	seed      int64
 	src       trialSource
 	fading    *channel.Fading
-	sum       []float64
-	outages   []int
 }
 
-// newOutageWorker builds a worker with its own accumulators; RunOutage
-// points them at each chunk's storage. cfg.Mean must already be valid.
+// newOutageWorker builds a worker. cfg.Mean must already be valid.
 func newOutageWorker(cfg OutageConfig) *outageWorker {
 	w := &outageWorker{
 		protos:    cfg.Protocols,
@@ -108,8 +114,6 @@ func newOutageWorker(cfg OutageConfig) *outageWorker {
 		hasTarget: cfg.hasTarget(),
 		ev:        protocols.NewEvaluator(),
 		seed:      cfg.Seed,
-		sum:       make([]float64, len(cfg.Protocols)),
-		outages:   make([]int, len(cfg.Protocols)),
 	}
 	fading, err := channel.NewFading(cfg.Mean, rand.New(&w.src))
 	if err != nil {
@@ -120,12 +124,12 @@ func newOutageWorker(cfg OutageConfig) *outageWorker {
 	return w
 }
 
-// runTrial simulates fading block t: reseed the stream for trial t, draw
-// instantaneous gains, evaluate the closed-form link informations once,
-// then re-solve the optimal-duration sum-rate LP for every protocol and
-// probe the fixed target's feasibility. This is the per-block kernel the
+// runTrial simulates fading block t into acc: reseed the stream for trial
+// t, draw instantaneous gains, evaluate the closed-form link informations
+// once, then re-solve the optimal-duration sum-rate LP for every protocol
+// and probe the fixed target's feasibility. This is the per-block kernel the
 // allocation regression tests and BenchmarkOutageTrial measure.
-func (w *outageWorker) runTrial(t int) error {
+func (w *outageWorker) runTrial(t int, acc *outageTally) error {
 	w.src.seedTrial(w.seed, t)
 	inst := w.fading.Draw()
 	li, err := protocols.LinkInfosFromScenario(protocols.Scenario{P: w.p, G: inst})
@@ -137,14 +141,14 @@ func (w *outageWorker) runTrial(t int) error {
 		if err != nil {
 			return err
 		}
-		w.sum[pi] += v
+		acc.sum[pi] += v
 		if w.hasTarget {
 			feas, err := w.ev.FeasibleLinks(proto, protocols.BoundInner, li, w.target)
 			if err != nil {
 				return err
 			}
 			if !feas {
-				w.outages[pi]++
+				acc.outages[pi]++
 			}
 		}
 	}
@@ -166,26 +170,24 @@ func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 		return OutageResult{}, fmt.Errorf("sim: %w", err)
 	}
 	np := len(cfg.Protocols)
-	chunks := (cfg.Trials + fadingChunk - 1) / fadingChunk
-	sums, outs := make([]float64, chunks*np), make([]int, chunks*np)
-	sum, outages := make([]float64, np), make([]int, np)
+	total := newOutageTally(np)
 	done, runErr := runTrials(ctx, cfg.Trials, cfg.Workers, fadingChunk, cfg.Progress,
 		func() *outageWorker { return newOutageWorker(cfg) },
-		func(w *outageWorker, c, lo, hi int) error {
-			w.sum, w.outages = sums[c*np:(c+1)*np], outs[c*np:(c+1)*np]
-			clear(w.sum)
-			clear(w.outages)
+		func() *outageTally { return newOutageTally(np) },
+		func(w *outageWorker, slot *outageTally, lo, hi int) error {
+			clear(slot.sum)
+			clear(slot.outages)
 			for t := lo; t < hi; t++ {
-				if err := w.runTrial(t); err != nil {
+				if err := w.runTrial(t, slot); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		func(c int) {
-			for pi := range sum {
-				sum[pi] += sums[c*np+pi]
-				outages[pi] += outs[c*np+pi]
+		func(slot *outageTally) {
+			for pi := range total.sum {
+				total.sum[pi] += slot.sum[pi]
+				total.outages[pi] += slot.outages[pi]
 			}
 		})
 
@@ -193,9 +195,9 @@ func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 	for pi, proto := range cfg.Protocols {
 		st := OutageStats{Trials: done}
 		if done > 0 {
-			st.MeanOptSumRate = sum[pi] / float64(done)
+			st.MeanOptSumRate = total.sum[pi] / float64(done)
 			if cfg.hasTarget() {
-				st.OutageProb = float64(outages[pi]) / float64(done)
+				st.OutageProb = float64(total.outages[pi]) / float64(done)
 			}
 		}
 		out.ByProtocol[proto] = st

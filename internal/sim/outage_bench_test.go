@@ -25,10 +25,11 @@ func benchOutageConfig() OutageConfig {
 // and a sum-rate LP and a feasibility probe per protocol must not allocate
 // in steady state.
 func TestOutageTrialZeroAllocs(t *testing.T) {
-	w := newOutageWorker(benchOutageConfig())
+	cfg := benchOutageConfig()
+	w, acc := newOutageWorker(cfg), newOutageTally(len(cfg.Protocols))
 	trial := 0
 	run := func() {
-		if err := w.runTrial(trial); err != nil {
+		if err := w.runTrial(trial, acc); err != nil {
 			t.Fatal(err)
 		}
 		trial++
@@ -51,16 +52,16 @@ func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newOutageWorker(cfg)
+	w, acc := newOutageWorker(cfg), newOutageTally(len(cfg.Protocols))
 	for i := 0; i < cfg.Trials; i++ {
-		if err := w.runTrial(i); err != nil {
+		if err := w.runTrial(i, acc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for pi, proto := range cfg.Protocols {
 		st := res.ByProtocol[proto]
-		want := w.sum[pi] / float64(cfg.Trials)
-		wantOut := float64(w.outages[pi]) / float64(cfg.Trials)
+		want := acc.sum[pi] / float64(cfg.Trials)
+		wantOut := float64(acc.outages[pi]) / float64(cfg.Trials)
 		if st.MeanOptSumRate != want || st.OutageProb != wantOut {
 			t.Errorf("%v: RunOutage (%g, %g) vs worker replay (%g, %g)",
 				proto, st.MeanOptSumRate, st.OutageProb, want, wantOut)
@@ -72,14 +73,15 @@ func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 // (the steady-state Monte Carlo kernel including the per-trial reseed,
 // excluding worker setup).
 func BenchmarkOutageTrial(b *testing.B) {
-	w := newOutageWorker(benchOutageConfig())
-	if err := w.runTrial(0); err != nil {
+	cfg := benchOutageConfig()
+	w, acc := newOutageWorker(cfg), newOutageTally(len(cfg.Protocols))
+	if err := w.runTrial(0, acc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.runTrial(i); err != nil {
+		if err := w.runTrial(i, acc); err != nil {
 			b.Fatal(err)
 		}
 	}

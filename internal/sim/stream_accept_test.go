@@ -49,6 +49,12 @@ func TestStreamStatisticalAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo acceptance test")
 	}
+	if raceEnabled {
+		// The laws it checks do not depend on scheduling, and the race
+		// tests of the trial pool run elsewhere; under the detector it
+		// would only add about 50 s.
+		t.Skip("statistics check; nothing for the race detector to find")
+	}
 	ctx := context.Background()
 	check := func(name string, z float64) {
 		t.Helper()

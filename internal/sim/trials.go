@@ -5,8 +5,10 @@ package sim
 //
 // Every simulator runs its trials as fixed-size chunks on sweep.RunCore.
 // Each RunCore worker owns one simulator state (codes, solver, evaluator,
-// buffers) for its lifetime; a chunk writes its tallies into storage indexed
-// by chunk, and the ordered emitter merges them in chunk order. Trial t
+// buffers) for its lifetime; a chunk writes its tallies into a slot of a
+// ring of sweep.CoreOptions.LiveChunks slots, and the ordered emitter merges
+// them in chunk order, so a run holds O(workers) tallies whatever Trials
+// is. Trial t
 // draws every random number from a stream seeded from (Seed, t) alone, so
 // neither the worker that runs it nor the number of workers changes what it
 // draws, and the chunk-order merge makes even the floating-point sums
@@ -73,15 +75,28 @@ func mix64(x uint64) uint64 {
 
 // runTrials executes trials [0, trials) on sweep.RunCore in chunks of chunk
 // trials, across workers goroutines (non-positive means GOMAXPROCS).
-// run(w, c, lo, hi) runs trials lo..hi-1 of chunk c on worker state w and
-// stores the chunk's tallies; merge(c) folds chunk c into the result. merge
-// and progress run on the calling goroutine, in ascending chunk order, so
-// progress reports a strictly increasing count that ends at trials. It
-// returns the number of merged trials — trials unless the run stopped early
-// — and the run error, if any.
-func runTrials[W any](ctx context.Context, trials, workers, chunk int, progress func(done, total int),
-	newWorker func() W, run func(w W, c, lo, hi int) error, merge func(c int)) (int, error) {
-	done, err := sweep.RunCore(ctx, trials, sweep.CoreOptions{Workers: workers, ChunkSize: chunk},
+// run(w, slot, lo, hi) runs trials lo..hi-1 on worker state w and stores the
+// chunk's tallies in slot, overwriting what it held; merge(slot) folds them
+// into the result. RunCore claims chunk c only after chunk c-LiveChunks has
+// been merged, so chunk c owns slot c mod LiveChunks from run to merge, and
+// newSlot is called at most LiveChunks times. merge and progress run on the
+// calling goroutine, in ascending chunk order, so progress reports a
+// strictly increasing count that ends at trials. It returns the number of
+// merged trials — trials unless the run stopped early — and the run error,
+// if any.
+func runTrials[W, T any](ctx context.Context, trials, workers, chunk int, progress func(done, total int),
+	newWorker func() W, newSlot func() T, run func(w W, slot T, lo, hi int) error, merge func(slot T)) (int, error) {
+	opts := sweep.CoreOptions{Workers: workers, ChunkSize: chunk}
+	nChunks := trials / chunk // rounded up below; trials+chunk-1 could overflow
+	if trials%chunk != 0 {
+		nChunks++
+	}
+	slots := make([]T, max(0, min(opts.LiveChunks(), nChunks)))
+	for i := range slots {
+		slots[i] = newSlot()
+	}
+	slotOf := func(lo int) T { return slots[lo/chunk%len(slots)] }
+	done, err := sweep.RunCore(ctx, trials, opts,
 		sweep.Hooks[W]{NewWorker: newWorker},
 		func(w W, lo, hi int) error {
 			// Yield once per chunk. The trial loops never block, so without
@@ -93,10 +108,10 @@ func runTrials[W any](ctx context.Context, trials, workers, chunk int, progress 
 			// bittrue-waterfall campaigns on 2 CPUs grew HeapSys to 15.7 MiB
 			// without the yield and 11.7 MiB with it.
 			runtime.Gosched()
-			return run(w, lo/chunk, lo, hi)
+			return run(w, slotOf(lo), lo, hi)
 		},
 		func(lo, hi int) error {
-			merge(lo / chunk)
+			merge(slotOf(lo))
 			if progress != nil {
 				progress(hi, trials)
 			}
@@ -131,18 +146,18 @@ type blockWorker interface {
 // runBlocks runs a bit-true simulator's trials and returns the outcome
 // counts over the merged prefix.
 func runBlocks[W blockWorker](ctx context.Context, trials, workers int, progress func(done, total int), newWorker func() W) (tally, error) {
-	chunks := make([]tally, (trials+bitTrueChunk-1)/bitTrueChunk)
 	var total tally
 	_, err := runTrials(ctx, trials, workers, bitTrueChunk, progress, newWorker,
-		func(w W, c, lo, hi int) error {
-			chunks[c] = tally{}
+		func() *tally { return new(tally) },
+		func(w W, slot *tally, lo, hi int) error {
+			*slot = tally{}
 			for t := lo; t < hi; t++ {
-				chunks[c][w.runTrial(t)]++
+				slot[w.runTrial(t)]++
 			}
 			return nil
 		},
-		func(c int) {
-			for i, n := range chunks[c] {
+		func(slot *tally) {
+			for i, n := range slot {
 				total[i] += n
 			}
 		})

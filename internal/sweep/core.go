@@ -15,9 +15,9 @@ package sweep
 //     at the same indices for every worker count and results stay
 //     bit-identical;
 //   - emit(start, end) observes completed chunks in strictly ascending
-//     order, with at most ~2×workers chunks of results live (ticket
-//     semaphore), so streaming consumers hold O(workers) chunks, not the
-//     whole point set;
+//     order, with at most CoreOptions.LiveChunks (~2×workers) chunks of
+//     results live (ticket semaphore), so streaming consumers and RunCore
+//     itself hold O(workers) chunks, not the whole point set;
 //   - cancellation: a context.AfterFunc flips one atomic flag polled per
 //     chunk, the pool drains within one chunk per worker, and the
 //     contiguous prefix of completed (and emitted) points is reported
@@ -101,6 +101,20 @@ func (o CoreOptions) workers() int {
 	return Options{Workers: o.Workers}.workers()
 }
 
+// LiveChunks bounds how many chunks a RunCore run with these options holds
+// claimed but not yet emitted: chunk c is claimed only after emit has
+// returned for chunk c-LiveChunks(). Per-chunk result storage indexed by
+// chunk modulo LiveChunks() is therefore free again before any later chunk
+// writes it, so a caller can hold O(workers) chunks of results whatever n is.
+func (o CoreOptions) LiveChunks() int {
+	return liveChunks(o.workers())
+}
+
+// liveChunks is the backpressure window for a pool of workers goroutines.
+func liveChunks(workers int) int {
+	return max(4, 2*workers)
+}
+
 func (o CoreOptions) chunkSize() int {
 	if o.ChunkSize > 0 {
 		return o.ChunkSize
@@ -131,7 +145,10 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 		return 0, ctxErr(ctx)
 	}
 	cs := opts.chunkSize()
-	nChunks := (n + cs - 1) / cs
+	nChunks := n / cs // rounded up below; n+cs-1 could overflow
+	if n%cs != 0 {
+		nChunks++
+	}
 	startChunk := 0
 	if opts.Start > 0 {
 		if opts.Start >= n {
@@ -169,14 +186,10 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	// worker takes one ticket per chunk claim and the emitter returns it
 	// once the chunk has been streamed (or skipped past an error). This
 	// caps the reorder buffer — and with it the caller's live per-chunk
-	// result storage — at window chunks instead of the whole point set.
-	window := 2 * workers
-	if window < 4 {
-		window = 4
-	}
-	if window > nChunks-startChunk {
-		window = nChunks - startChunk
-	}
+	// result storage — at window chunks instead of the whole point set:
+	// every claimed chunk lies in [nextEmit, nextEmit+window), so the
+	// per-chunk bookkeeping below lives in window slots indexed c % window.
+	window := min(liveChunks(workers), nChunks-startChunk)
 	tickets := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		tickets <- struct{}{}
@@ -184,8 +197,10 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 
 	var next atomic.Int64
 	next.Store(int64(startChunk))
-	chunkErr := make([]error, nChunks)
-	completions := make(chan int, nChunks-startChunk)
+	chunkErr := make([]error, window)
+	// At most window chunks are claimed and not yet advanced past, so a
+	// completion send never blocks.
+	completions := make(chan int, window)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -205,7 +220,7 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 				}
 				lo, hi := chunkBoundsOf(c, n, cs)
 				if err := runChunkAttempts(ctx, hooks, &st, opts.Retry, c, lo, hi, do); err != nil {
-					chunkErr[c] = err
+					chunkErr[c%window] = err
 					halt()
 				}
 				completions <- c
@@ -221,25 +236,32 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	// completed-chunk set and streams ready chunks in order, halting the
 	// pool on an emit error but always draining it. Each advanced chunk
 	// returns its backpressure ticket; ticket sends cannot block because at
-	// most window claims are outstanding. (After a halt the remaining
-	// tickets are irrelevant — workers exit via haltCh.)
-	done := make([]bool, nChunks)
+	// most window claims are outstanding. A slot is cleared before its
+	// ticket returns, so the chunk window later that reuses it starts clean.
+	// (After a halt the remaining tickets are irrelevant — workers exit via
+	// haltCh.)
+	done := make([]bool, window)
 	nextEmit := startChunk
 	emitting := emit != nil
 	var ckErr error
 	for c := range completions {
-		done[c] = true
+		done[c%window] = true
 		advanced := false
-		for nextEmit < nChunks && done[nextEmit] && chunkErr[nextEmit] == nil {
+		for nextEmit < nChunks {
+			s := nextEmit % window
+			if !done[s] || chunkErr[s] != nil {
+				break
+			}
 			if emitting {
 				lo, hi := chunkBoundsOf(nextEmit, n, cs)
 				if err := emit(lo, hi); err != nil {
-					chunkErr[nextEmit] = err
+					chunkErr[s] = err
 					halt()
 					emitting = false
 					break
 				}
 			}
+			done[s] = false
 			nextEmit++
 			advanced = true
 			tickets <- struct{}{}
@@ -256,8 +278,10 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	if err := ctxErr(ctx); err != nil {
 		return prefix, err
 	}
-	for _, err := range chunkErr {
-		if err != nil {
+	// Every chunk that ran and was not advanced past lies in the window
+	// starting at nextEmit; scan it in enumeration order.
+	for c := nextEmit; c < min(nChunks, nextEmit+window); c++ {
+		if err := chunkErr[c%window]; err != nil {
 			return prefix, err
 		}
 	}
@@ -266,11 +290,10 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 
 // watermarkOf converts an emitted-chunk cursor to the emitted point prefix.
 func watermarkOf(nextEmit, n, cs int) int {
-	w := nextEmit * cs
-	if w > n {
-		w = n
+	if nextEmit > (n-1)/cs { // past the last chunk (n ≥ 1); avoids overflow
+		return n
 	}
-	return w
+	return nextEmit * cs
 }
 
 // runCoreSequential is the single-worker path: same chunk boundaries and
@@ -303,9 +326,8 @@ func runCoreSequential[W any](ctx context.Context, n, nChunks, cs, startChunk in
 
 func chunkBoundsOf(c, n, cs int) (lo, hi int) {
 	lo = c * cs
-	hi = lo + cs
-	if hi > n {
-		hi = n
+	if n-lo <= cs { // not lo+cs > n, which could overflow
+		return lo, n
 	}
-	return lo, hi
+	return lo, lo + cs
 }

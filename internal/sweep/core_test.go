@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +130,41 @@ func TestRunCoreWorkerStateIsolation(t *testing.T) {
 		if w == nil {
 			t.Fatalf("chunk %d never ran", c)
 		}
+	}
+}
+
+// TestRunCoreHugeNBoundedBookkeeping pins that RunCore's own bookkeeping is
+// O(workers), not O(n): a pre-cancelled run over MaxInt points allocates a
+// few kilobytes and returns the cancellation, and the chunk arithmetic
+// near MaxInt does not overflow.
+func TestRunCoreHugeNBoundedBookkeeping(t *testing.T) {
+	const n = int(^uint(0) >> 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prefix, err := RunCore(ctx, n, CoreOptions{Workers: 2, ChunkSize: 64}, Hooks[struct{}]{},
+		func(struct{}, int, int) error { return nil },
+		func(int, int) error { return nil })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if prefix < 0 || prefix%64 != 0 {
+		t.Errorf("prefix = %d, want a non-negative chunk boundary", prefix)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("pre-cancelled run over %d points allocated %d bytes, want O(workers)", n, got)
+	}
+
+	nChunks := n/64 + 1
+	if lo, hi := chunkBoundsOf(nChunks-1, n, 64); lo != n-n%64 || hi != n {
+		t.Errorf("last chunk = [%d, %d), want [%d, %d)", lo, hi, n-n%64, n)
+	}
+	if w := watermarkOf(nChunks, n, 64); w != n {
+		t.Errorf("watermark past the last chunk = %d, want %d", w, n)
+	}
+	if w := watermarkOf(nChunks-1, n, 64); w != n-n%64 {
+		t.Errorf("watermark before the last chunk = %d, want %d", w, n-n%64)
 	}
 }

@@ -302,10 +302,13 @@ type CampaignSpec struct {
 	// for every outer and inner worker count.
 	Specs []SimSpec
 	// Workers bounds how many runs execute concurrently (the outer pool);
-	// zero uses the engine's WithWorkers default, then GOMAXPROCS. Each
-	// spec's own Workers resolves exactly as in Simulate; since a run is a
-	// function of its (Seed, Trials) only, neither worker count changes a
-	// result.
+	// zero uses the engine's WithWorkers default, then GOMAXPROCS. A spec's
+	// own Workers of zero means one goroutine inside a campaign: the outer
+	// pool already keeps the cores busy, and nesting a default-sized pool
+	// in every run would multiply the per-worker simulator state (a
+	// GOMAXPROCS² pool of GF(2) solvers for a bit-true campaign) without
+	// adding parallelism. Since a run is a function of its (Seed, Trials)
+	// only, neither worker count changes a result.
 	//
 	// Progress caveat: each spec's Progress callback keeps its serialized,
 	// strictly-increasing contract within that spec's run, but with
@@ -376,7 +379,11 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 		sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				res, err := e.runSim(ctx, spec.Specs[i])
+				s := spec.Specs[i]
+				if s.Workers <= 0 {
+					s.Workers = 1 // scheduling default only (see CampaignSpec.Workers)
+				}
+				res, err := e.runSim(ctx, s)
 				if err != nil {
 					return fmt.Errorf("spec %d: %w", i, err)
 				}
